@@ -8,13 +8,9 @@
 //! ```
 //!
 //! `--jobs N` sizes the sweep worker pool (default: `MDWORM_JOBS`, else
-//! available parallelism). `--shards N` runs every experiment on the
-//! compiled sharded engine (default: `MDWORM_SHARDS`, else the config's
-//! `engine.shards`; 1 = sequential oracle) — outputs must be byte-
-//! identical at any shard count, which CI checks by diffing `--shards 1`
-//! against `--shards 2`. `--bench` runs the selected suite twice —
+//! available parallelism). `--bench` runs the selected suite twice —
 //! serial then parallel — verifies the outputs are byte-identical, times
-//! the raw engine and the sharded-vs-sequential scale sweep, and writes
+//! the raw engine and its cycle rate across offered load, and writes
 //! `BENCH_sweep.json` next to the tables.
 
 use mdw_bench::perf::bench_sweep;
@@ -33,7 +29,6 @@ struct Args {
     scale: Scale,
     out: PathBuf,
     jobs: Option<usize>,
-    shards: Option<usize>,
     bench: bool,
 }
 
@@ -42,7 +37,6 @@ fn parse_args() -> Args {
     let mut scale = Scale::Full;
     let mut out = PathBuf::from("results");
     let mut jobs = None;
-    let mut shards = None;
     let mut bench = false;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -68,21 +62,12 @@ fn parse_args() -> Args {
                 jobs = Some(n);
                 i += 2;
             }
-            "--shards" => {
-                let v = argv.get(i + 1).expect("--shards needs a value");
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("bad --shards value {v}"));
-                assert!(n > 0, "--shards must be at least 1 (1 = sequential oracle)");
-                shards = Some(n);
-                i += 2;
-            }
             "--bench" => {
                 bench = true;
                 i += 1;
             }
             other => {
-                panic!("unknown argument {other} (use --exp/--scale/--out/--jobs/--shards/--bench)")
+                panic!("unknown argument {other} (use --exp/--scale/--out/--jobs/--bench)")
             }
         }
     }
@@ -91,7 +76,6 @@ fn parse_args() -> Args {
         scale,
         out,
         jobs,
-        shards,
         bench,
     }
 }
@@ -136,9 +120,6 @@ fn main() -> ExitCode {
     let base = base_system();
     if let Some(n) = args.jobs {
         sweep::set_jobs(n);
-    }
-    if let Some(n) = args.shards {
-        mdworm::sim::set_engine_shards(n);
     }
     if prelint(&base).is_err() {
         return ExitCode::FAILURE;

@@ -1,7 +1,7 @@
 //! Perf measurement: times the sweep suite serial vs parallel, the raw
-//! engine cycle rate, and the compiled sharded engine against the
-//! sequential oracle, and serializes the result as `BENCH_sweep.json` —
-//! the repo's recorded performance trajectory.
+//! engine cycle rate, and the engine's cycle rate and skipped ticks across
+//! offered load, and serializes the result as `BENCH_sweep.json` — the
+//! repo's recorded performance trajectory.
 
 use crate::suite::{run_suite, Table};
 use crate::Scale;
@@ -56,16 +56,9 @@ pub struct BenchReport {
     pub crash_recovery_p50_ns: u64,
     /// p99 restart→caught-up recovery latency, nanoseconds.
     pub crash_recovery_p99_ns: u64,
-    /// Shard count of the headline sharded measurement.
-    pub engine_shards: usize,
-    /// Sequential-oracle cycles/sec on the scale fabric (light load) —
-    /// the baseline the compiled engine is judged against, side-by-side.
-    pub sequential_cycles_per_sec: f64,
-    /// Compiled-engine cycles/sec on the same fabric and workload at
-    /// [`BenchReport::engine_shards`] shards.
-    pub sharded_cycles_per_sec: f64,
-    /// Full cycles/sec-vs-shard-count sweep over several fabric sizes.
-    pub bench_scale: Vec<ScaleFabric>,
+    /// Engine cycles/sec and skipped ticks on the default fabric at
+    /// light, moderate and heavy load.
+    pub bench_scale: Vec<ScalePoint>,
     /// Reduced-vs-unreduced model-check state counts and wall time at
     /// the 8/16-switch scale tiers (DESIGN.md §14).
     pub bench_model_check: Vec<ModelCheckBench>,
@@ -145,11 +138,13 @@ pub struct ModelCheckBench {
     pub compositional_secs: f64,
 }
 
-/// Cycle rate of one fabric size at one shard count.
+/// Engine cycle rate at one offered load on the default 64-host fabric.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
-    /// Shard count the compiled schedule was cut into.
-    pub shards: usize,
+    /// Offered load of the multiple-multicast workload.
+    pub load: f64,
+    /// Cycles simulated.
+    pub cycles: u64,
     /// Simulated cycles per wall-clock second.
     pub cycles_per_sec: f64,
     /// Component ticks actually executed.
@@ -158,48 +153,20 @@ pub struct ScalePoint {
     pub ticks_skipped: u64,
 }
 
-/// One fabric's cycles/sec-vs-shards sweep, with the sequential oracle as
-/// the shared baseline.
-#[derive(Debug, Clone)]
-pub struct ScaleFabric {
-    /// Host count of the fabric.
-    pub hosts: usize,
-    /// Switch count of the fabric.
-    pub switches: usize,
-    /// Cycles each measurement simulated.
-    pub cycles: u64,
-    /// Sequential (uncompiled) cycles/sec on this fabric.
-    pub sequential_cycles_per_sec: f64,
-    /// Compiled-engine rates at each shard count.
-    pub points: Vec<ScalePoint>,
-}
-
 impl BenchReport {
     /// Serializes the report as pretty-printed JSON (hand-rolled; the
     /// workspace carries no serde dependency).
     pub fn json(&self) -> String {
-        let mut fabrics = String::new();
-        for (i, f) in self.bench_scale.iter().enumerate() {
-            let mut points = String::new();
-            for (j, p) in f.points.iter().enumerate() {
-                points.push_str(&format!(
-                    "        {{\"shards\": {}, \"cycles_per_sec\": {:.0}, \
-                     \"ticks_run\": {}, \"ticks_skipped\": {}}}{}\n",
-                    p.shards,
-                    p.cycles_per_sec,
-                    p.ticks_run,
-                    p.ticks_skipped,
-                    if j + 1 < f.points.len() { "," } else { "" },
-                ));
-            }
-            fabrics.push_str(&format!(
-                "    {{\n      \"hosts\": {},\n      \"switches\": {},\n      \
-                 \"cycles\": {},\n      \"sequential_cycles_per_sec\": {:.0},\n      \
-                 \"points\": [\n{points}      ]\n    }}{}\n",
-                f.hosts,
-                f.switches,
-                f.cycles,
-                f.sequential_cycles_per_sec,
+        let mut scale_rows = String::new();
+        for (i, p) in self.bench_scale.iter().enumerate() {
+            scale_rows.push_str(&format!(
+                "    {{\"load\": {:.2}, \"cycles\": {}, \"cycles_per_sec\": {:.0}, \
+                 \"ticks_run\": {}, \"ticks_skipped\": {}}}{}\n",
+                p.load,
+                p.cycles,
+                p.cycles_per_sec,
+                p.ticks_run,
+                p.ticks_skipped,
                 if i + 1 < self.bench_scale.len() {
                     ","
                 } else {
@@ -272,9 +239,7 @@ impl BenchReport {
              \"storm_vet_p99_ns\": {},\n  \
              \"crash_boundaries\": {},\n  \"crash_recoveries\": {},\n  \
              \"crash_recovery_p50_ns\": {},\n  \"crash_recovery_p99_ns\": {},\n  \
-             \"engine_shards\": {},\n  \"sequential_cycles_per_sec\": {:.0},\n  \
-             \"sharded_cycles_per_sec\": {:.0},\n  \
-             \"bench_scale\": [\n{fabrics}  ],\n  \
+             \"bench_scale\": [\n{scale_rows}  ],\n  \
              \"bench_model_check\": [\n{model_rows}  ],\n  \
              \"bench_certify\": [\n{certify_rows}  ]\n}}\n",
             self.scale,
@@ -298,9 +263,6 @@ impl BenchReport {
             self.crash_recoveries,
             self.crash_recovery_p50_ns,
             self.crash_recovery_p99_ns,
-            self.engine_shards,
-            self.sequential_cycles_per_sec,
-            self.sharded_cycles_per_sec,
         )
     }
 }
@@ -391,72 +353,29 @@ pub fn engine_secs(cycles: u64) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// Times one fabric for `cycles` cycles of the scale workload at a given
-/// shard count (`0` = the sequential, uncompiled oracle). Returns elapsed
-/// seconds plus the compiled engine's `(ticks_run, ticks_skipped)`.
-fn scale_run(cfg: &SystemConfig, cycles: u64, shards: usize) -> (f64, u64, u64) {
-    // Light load: the regime the compiled schedule is built for — most
-    // switches are provably idle most cycles, so the quiescence skipping
-    // that makes the sharded engine fast actually has idleness to harvest.
-    let spec = TrafficSpec::multiple_multicast(0.02, 4, 16);
-    let sources = make_sources(&spec, cfg.n_hosts(), cfg.seed, None);
-    let mut sys = build_system(cfg.clone(), sources, None);
-    if shards > 0 {
-        sys.engine.set_shards(shards);
-    }
-    let t = Instant::now();
-    sys.engine.run_for(cycles);
-    let secs = t.elapsed().as_secs_f64();
-    let (run, skipped) = sys
-        .engine
-        .sharding_stats()
-        .map_or((0, 0), |s| (s.ticks_run, s.ticks_skipped));
-    (secs, run, skipped)
-}
-
-/// Sweeps cycles/sec against shard count on several fabric sizes, with
-/// the sequential oracle measured side-by-side on each fabric. The
-/// per-fabric baseline and the shard points run the identical workload,
-/// so the ratio is purely the engine's scheduling overhead vs the ticks
-/// it avoids.
-pub fn bench_scale(cycles: u64) -> Vec<ScaleFabric> {
-    let fabrics = [
-        TopologyKind::KaryTree { k: 2, n: 4 }, // 16 hosts
-        TopologyKind::KaryTree { k: 4, n: 3 }, // 64 hosts, the default
-    ];
-    fabrics
-        .iter()
-        .map(|&topology| {
-            let cfg = SystemConfig {
-                topology,
-                ..SystemConfig::default()
-            };
-            let switches = {
-                let spec = TrafficSpec::multiple_multicast(0.02, 4, 16);
-                let sources = make_sources(&spec, cfg.n_hosts(), cfg.seed, None);
-                build_system(cfg.clone(), sources, None)
-                    .topology
-                    .n_switches()
-            };
-            let (seq_secs, _, _) = scale_run(&cfg, cycles, 0);
-            let points = [1usize, 2, 4]
-                .iter()
-                .map(|&shards| {
-                    let (secs, run, skipped) = scale_run(&cfg, cycles, shards);
-                    ScalePoint {
-                        shards,
-                        cycles_per_sec: cycles as f64 / secs.max(1e-9),
-                        ticks_run: run,
-                        ticks_skipped: skipped,
-                    }
-                })
-                .collect();
-            ScaleFabric {
-                hosts: cfg.n_hosts(),
-                switches,
+/// Runs the default 64-host fabric for `cycles` cycles of degree-16,
+/// 64-flit multiple multicast at loads 0.05, 0.3 and 0.6, recording the
+/// cycle rate and how many component ticks quiescence skipping avoided.
+/// Light load leaves most switches idle, heavy load almost none, so the
+/// three points bracket what skipping can harvest.
+pub fn bench_scale(cycles: u64) -> Vec<ScalePoint> {
+    [0.05, 0.3, 0.6]
+        .into_iter()
+        .map(|load| {
+            let cfg = SystemConfig::default();
+            let spec = TrafficSpec::multiple_multicast(load, 16, 64);
+            let sources = make_sources(&spec, cfg.n_hosts(), cfg.seed, None);
+            let mut sys = build_system(cfg, sources, None);
+            let t = Instant::now();
+            sys.engine.run_for(cycles);
+            let secs = t.elapsed().as_secs_f64();
+            let stats = sys.engine.schedule_stats();
+            ScalePoint {
+                load,
                 cycles,
-                sequential_cycles_per_sec: cycles as f64 / seq_secs.max(1e-9),
-                points,
+                cycles_per_sec: cycles as f64 / secs.max(1e-9),
+                ticks_run: stats.ticks_run,
+                ticks_skipped: stats.ticks_skipped,
             }
         })
         .collect()
@@ -634,18 +553,7 @@ pub fn bench_sweep(
     let eng_secs = engine_secs(engine_cycles);
     let (storm_episodes, storm_p50, storm_p99, vet_p50, vet_p99) = storm_latency();
     let (crash_boundaries, crash_recoveries, crash_p50, crash_p99) = crash_recovery_latency();
-    let scale_fabrics = bench_scale(engine_cycles / 10);
-    // Headline: the 2-shard compiled engine vs the sequential oracle on
-    // the largest fabric swept.
-    let headline = scale_fabrics.last().expect("bench_scale is non-empty");
-    let engine_shards = 2;
-    let sequential_cycles_per_sec = headline.sequential_cycles_per_sec;
-    let sharded_cycles_per_sec = headline
-        .points
-        .iter()
-        .find(|p| p.shards == engine_shards)
-        .expect("2-shard point present")
-        .cycles_per_sec;
+    let scale_points = bench_scale(engine_cycles / 10);
     let report = BenchReport {
         scale: format!("{scale:?}").to_lowercase(),
         exp: exp.to_string(),
@@ -668,10 +576,7 @@ pub fn bench_sweep(
         crash_recoveries,
         crash_recovery_p50_ns: crash_p50,
         crash_recovery_p99_ns: crash_p99,
-        engine_shards,
-        sequential_cycles_per_sec,
-        sharded_cycles_per_sec,
-        bench_scale: scale_fabrics,
+        bench_scale: scale_points,
         bench_model_check: bench_model_check(),
         bench_certify: bench_certify(),
     };
@@ -706,28 +611,12 @@ mod tests {
             crash_recoveries: 80,
             crash_recovery_p50_ns: 12_000,
             crash_recovery_p99_ns: 48_000,
-            engine_shards: 2,
-            sequential_cycles_per_sec: 50_000.0,
-            sharded_cycles_per_sec: 90_000.0,
-            bench_scale: vec![ScaleFabric {
-                hosts: 16,
-                switches: 8,
+            bench_scale: vec![ScalePoint {
+                load: 0.05,
                 cycles: 20_000,
-                sequential_cycles_per_sec: 50_000.0,
-                points: vec![
-                    ScalePoint {
-                        shards: 1,
-                        cycles_per_sec: 88_000.0,
-                        ticks_run: 1_000,
-                        ticks_skipped: 9_000,
-                    },
-                    ScalePoint {
-                        shards: 2,
-                        cycles_per_sec: 90_000.0,
-                        ticks_run: 1_000,
-                        ticks_skipped: 9_000,
-                    },
-                ],
+                cycles_per_sec: 90_000.0,
+                ticks_run: 1_000,
+                ticks_skipped: 9_000,
             }],
             bench_model_check: vec![ModelCheckBench {
                 switches: 16,
@@ -763,10 +652,8 @@ mod tests {
         assert!(j.contains("\"storm_p99_cycles\": 257"));
         assert!(j.contains("\"crash_recovery_p99_ns\": 48000"));
         assert!(j.contains("\"crash_boundaries\": 40"));
-        assert!(j.contains("\"engine_shards\": 2"));
-        assert!(j.contains("\"sharded_cycles_per_sec\": 90000"));
         assert!(j.contains("\"bench_scale\": ["));
-        assert!(j.contains("{\"shards\": 2, \"cycles_per_sec\": 90000"));
+        assert!(j.contains("{\"load\": 0.05, \"cycles\": 20000, \"cycles_per_sec\": 90000"));
         assert!(j.contains("\"ticks_skipped\": 9000}"));
         assert!(j.contains("\"bench_model_check\": ["));
         assert!(j.contains("\"switches\": 16, \"unreduced_states\": 50000"));
@@ -825,22 +712,17 @@ mod tests {
         assert!(engine_secs(200) > 0.0);
     }
 
-    /// The scale sweep runs, skips real work on every fabric, and its
-    /// compiled points simulated exactly `cycles` cycles' worth of ticks.
+    /// The load sweep runs, skips real work at every load, and accounts
+    /// for every component tick of every cycle.
     #[test]
-    fn bench_scale_skips_ticks_on_every_fabric() {
-        let fabrics = bench_scale(400);
-        assert_eq!(fabrics.len(), 2);
-        for f in &fabrics {
-            assert!(f.switches > 1, "scale fabric must be multi-switch");
-            assert!(f.sequential_cycles_per_sec > 0.0);
-            assert_eq!(f.points.len(), 3);
-            for p in &f.points {
-                assert!(p.cycles_per_sec > 0.0);
-                assert!(p.ticks_skipped > 0, "{}h/{} shards", f.hosts, p.shards);
-                let comps = (f.hosts + f.switches) as u64;
-                assert_eq!(p.ticks_run + p.ticks_skipped, comps * f.cycles);
-            }
+    fn bench_scale_skips_ticks_at_every_load() {
+        let points = bench_scale(400);
+        assert_eq!(points.len(), 3);
+        for p in &points {
+            assert!(p.cycles_per_sec > 0.0);
+            assert!(p.ticks_skipped > 0, "load {}", p.load);
+            // The default fabric: 64 hosts plus 48 switches.
+            assert_eq!(p.ticks_run + p.ticks_skipped, 112 * p.cycles);
         }
     }
 

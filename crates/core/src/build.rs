@@ -63,7 +63,8 @@ pub struct System {
     /// Per switch, per port: the link driven by that output port.
     pub sw_out: Vec<Vec<LinkId>>,
     /// Per-switch out-of-band control cells (purge / table swap), indexed
-    /// by switch id. Held by the fault-response orchestrator.
+    /// by switch id. Read freely; change them only through
+    /// [`System::control`].
     pub switch_ctls: Vec<Rc<SwitchCtl>>,
     /// Shared injection-gate / degradation cell every host watches.
     pub fabric_mode: Rc<FabricMode>,
@@ -87,6 +88,25 @@ impl System {
     /// Number of hosts.
     pub fn n_hosts(&self) -> usize {
         self.topology.n_hosts()
+    }
+
+    /// Out-of-band control of switch `s`: runs `f` on its control cell
+    /// (purge, prepare/commit/abort) and statistics handle (forensics
+    /// requests) through [`netsim::Engine::control`], which wakes the
+    /// switch so it acts on the command on the next cycle even if it was
+    /// asleep. Every mutation of switch state from outside the engine goes
+    /// through here. Switch `s` is engine component `s`: systems register
+    /// their switches first, in id order.
+    pub fn control<R>(&mut self, s: usize, f: impl FnOnce(&SwitchCtl, &mut SwitchStats) -> R) -> R {
+        let (ctl, stats) = (&self.switch_ctls[s], &self.switch_stats[s]);
+        self.engine.control(s, || f(ctl, &mut stats.borrow_mut()))
+    }
+
+    /// [`System::control`] applied to every switch in id order.
+    pub fn control_all(&mut self, mut f: impl FnMut(&SwitchCtl, &mut SwitchStats)) {
+        for s in 0..self.switch_ctls.len() {
+            self.control(s, &mut f);
+        }
     }
 
     /// Mean link utilization since cycle 0 (flits per link per cycle).

@@ -73,13 +73,7 @@ pub struct DeadlockReport {
 /// Runs the engine for one extra cycle so every switch can deposit its
 /// snapshot (harmless: nothing can move in a deadlock).
 pub fn capture_deadlock_report(sys: &mut System, last_progress: Cycle) -> DeadlockReport {
-    for st in &sys.switch_stats {
-        st.borrow_mut().forensics_requested = true;
-    }
-    // The request flag is out-of-band state the compiled engine's wake
-    // protocol cannot see — wake sleeping switches so every one deposits
-    // a snapshot during the extra cycle (no-op on the sequential path).
-    sys.engine.wake_all();
+    sys.control_all(|_, st| st.forensics_requested = true);
     sys.engine.run_for(1);
 
     let mut switches = Vec::new();

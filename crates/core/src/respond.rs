@@ -1155,13 +1155,7 @@ impl FaultResponder {
 
         // Purge: raise on every switch (re-raising is a no-op), then loop
         // until the fabric is empty or the absolute budget expires.
-        for ctl in &sys.switch_ctls {
-            ctl.begin_purge();
-        }
-        // Control-plane flips are invisible to the compiled engine's wake
-        // protocol: sleeping switches must be woken to see the purge flag
-        // (no-op on the sequential path).
-        sys.engine.wake_all();
+        sys.control_all(|ctl, _| ctl.begin_purge());
         if ep.stage.rank() < Stage::Purging.rank() {
             self.journal.append(&JournalRecord::PurgeStarted {
                 at: sys.engine.now(),
@@ -1249,8 +1243,8 @@ impl FaultResponder {
             None => RouteTables::build_masked(&sys.topology, &ep.masked),
         };
         let tables = Rc::new(candidate);
-        for ctl in &sys.switch_ctls {
-            ctl.prepare(ep.epoch, tables.clone());
+        for k in 0..sys.switch_ctls.len() {
+            sys.control(k, |ctl, _| ctl.prepare(ep.epoch, tables.clone()));
             self.chaos_point()?; // "crash after prepare on switch k"
         }
 
@@ -1282,14 +1276,12 @@ impl FaultResponder {
                     ep.stage = Stage::Committing;
                     self.chaos_point()?;
                 }
-                for ctl in &sys.switch_ctls {
-                    let committed = ctl.commit(ep.epoch);
+                // Idle switches are empty and swap on their next tick.
+                for k in 0..sys.switch_ctls.len() {
+                    let committed = sys.control(k, |ctl, _| ctl.commit(ep.epoch));
                     debug_assert!(committed, "a prepared epoch must commit");
                     self.chaos_point()?; // the torn-install window
                 }
-                // Wake sleeping switches so each sees the armed swap
-                // (idle switches are empty and swap on their next tick).
-                sys.engine.wake_all();
                 sys.tables = tables;
                 let outcome = if ep.masked.is_empty() {
                     EpisodeOutcome::Healed
@@ -1319,9 +1311,9 @@ impl FaultResponder {
                     ep.stage = Stage::Aborting;
                     self.chaos_point()?;
                 }
-                for ctl in &sys.switch_ctls {
+                sys.control_all(|ctl, _| {
                     ctl.abort(ep.epoch);
-                }
+                });
                 self.finish(sys, &ep, EpisodeOutcome::Rejected)
             }
         }
@@ -1337,9 +1329,7 @@ impl FaultResponder {
         ep: &Episode,
         outcome: EpisodeOutcome,
     ) -> Result<(), Crashed> {
-        for ctl in &sys.switch_ctls {
-            ctl.end_purge();
-        }
+        sys.control_all(|ctl, _| ctl.end_purge());
         // Degrade whenever masked tables are (or should be) active: the
         // planner sends full-coverage sets as one worm anyway, so on cuts
         // that leave coverage intact this only costs the plan check. A

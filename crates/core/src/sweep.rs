@@ -167,6 +167,56 @@ mod tests {
         assert_eq!(out, jobs_list);
     }
 
+    /// Pool-contract tests repeat this often so the OS scheduler gets
+    /// many chances to interleave the workers' queue-lock acquisitions.
+    const REPEATS: usize = 200;
+
+    /// Results come back in submission order even when later-submitted
+    /// jobs finish first: reversed spin lengths make completion order
+    /// fight submission order.
+    #[test]
+    fn submission_order_survives_repeated_schedules() {
+        for _ in 0..REPEATS {
+            let jobs_list: Vec<usize> = (0..6).rev().collect();
+            let out = parallel_map(jobs_list.clone(), 3, |spin| {
+                for _ in 0..spin * 10 {
+                    std::thread::yield_now();
+                }
+                spin
+            });
+            assert_eq!(out, jobs_list, "submission order must survive any schedule");
+        }
+    }
+
+    /// Each job runs exactly once and every result has landed by the time
+    /// `parallel_map` returns — no lost or duplicated work.
+    #[test]
+    fn every_job_runs_exactly_once() {
+        use std::sync::atomic::AtomicUsize;
+        for _ in 0..REPEATS {
+            let per_job: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
+            let out = parallel_map((0..5).collect::<Vec<usize>>(), 2, |i| {
+                per_job[i].fetch_add(1, Ordering::SeqCst);
+                i * 2
+            });
+            assert_eq!(out, vec![0, 2, 4, 6, 8]);
+            for (i, c) in per_job.iter().enumerate() {
+                assert_eq!(c.load(Ordering::SeqCst), 1, "job {i} ran exactly once");
+            }
+        }
+    }
+
+    /// Degenerate pool shapes shut down: more workers than jobs, and an
+    /// empty job list.
+    #[test]
+    fn surplus_workers_and_empty_queues_shut_down() {
+        for _ in 0..REPEATS {
+            assert_eq!(parallel_map(vec![7usize], 4, |x| x + 1), vec![8]);
+            let none: Vec<usize> = parallel_map(Vec::new(), 4, |x: usize| x);
+            assert!(none.is_empty());
+        }
+    }
+
     #[test]
     fn single_worker_runs_inline() {
         let out = parallel_map(vec![1, 2, 3], 1, |x| x * 2);

@@ -7,20 +7,15 @@
 //! observes another component's same-cycle output, so the tick order is not
 //! semantically observable — runs are deterministic and order-independent.
 //!
-//! ## Compiled sharded scheduling
+//! ## Quiescence skipping
 //!
-//! [`Engine::set_shards`] switches the cycle loop from plain object
-//! iteration to a *compiled* schedule (DESIGN.md §13): a one-time compile
-//! pass lowers the constructed fabric into a `ShardPlan` — flat
-//! link→receiver maps, contiguous per-shard component ranges balanced by
-//! port weight, a sleep bitset, and per-shard wake heaps — and the
-//! per-cycle loop then skips every component that declared itself
-//! quiescent ([`Component::quiescent`]) until an event addressed to it
-//! matures.
-//! Events produced while a shard steps land in that shard's *outbox*
-//! mailbox and are exchanged at a per-cycle barrier, so the result is
-//! independent of the order in which shards execute. The uncompiled path
-//! (the default) remains the oracle: both must produce bit-identical runs.
+//! A component that declares itself [`Component::quiescent`] after a tick
+//! is put to sleep and skipped until an event addressed to it matures: a
+//! flit arriving on one of its input links, or an out-of-band mutation
+//! made through [`Engine::control`] (DESIGN.md §13). Only provable no-op
+//! ticks are skipped, so a run is bit-identical to ticking every component
+//! every cycle. The `oracle` feature keeps that plain loop reachable from
+//! tests (`oracle::with`) as a differential oracle.
 
 use crate::fault::{FaultCounters, FaultPlan};
 use crate::flit::Flit;
@@ -40,11 +35,11 @@ pub trait Component {
     fn tick(&mut self, now: Cycle, io: &mut PortIo<'_>);
 
     /// `true` if ticking this component is provably a no-op until new
-    /// input arrives on one of its links (or out-of-band state changes,
-    /// after which the caller must [`Engine::wake_component`] it).
+    /// input arrives on one of its links or its out-of-band state is
+    /// changed through [`Engine::control`].
     ///
-    /// The compiled engine consults this after every tick to put the
-    /// component to sleep. Implementations that return `true` here must
+    /// The engine consults this after every tick to put the component to
+    /// sleep. Implementations that return `true` here must
     /// make any per-cycle accounting *skip-invariant*: derive it from the
     /// gap since their last tick rather than counting ticks (see the
     /// switch implementations). The default never sleeps, which is always
@@ -57,7 +52,7 @@ pub trait Component {
     /// skipped ticks, without advancing any simulation state.
     ///
     /// [`Engine::flush`] calls this on sleeping components before stats
-    /// are read at the end of a run. The default is a no-op.
+    /// are read. The default is a no-op.
     fn flush(&mut self, now: Cycle) {
         let _ = now;
     }
@@ -135,18 +130,21 @@ impl Ledger {
     }
 }
 
-/// Wake plumbing handed to [`PortIo`] by the compiled engine: when a send
-/// targets a sleeping receiver, the arrival is recorded in the *ticking*
-/// shard's outbox so the receiver is woken when the flit matures. The
-/// uncompiled engine passes `None` and pays nothing.
-#[derive(Debug)]
-struct WakeCtx<'a> {
-    /// Link index → receiving component, `u32::MAX` for dangling links.
-    recv_comp: &'a [u32],
-    /// Which components are currently asleep.
-    asleep: &'a [bool],
-    /// The current shard's outbox of `(wake_at, component)` events.
-    outbox: &'a mut Vec<(Cycle, u32)>,
+/// The quiescence-skipping schedule, filled in as links and components
+/// are registered: who receives each link, who sleeps, and when sleepers
+/// must wake.
+#[derive(Debug, Default)]
+struct Schedule {
+    /// Link index → receiving component (`u32::MAX` for dangling links).
+    recv_comp: Vec<u32>,
+    /// `asleep[c]` ⇒ ticking `c` is provably a no-op until a wake event
+    /// for it matures or [`Engine::control`] touches it.
+    asleep: Vec<bool>,
+    /// Min-heap of pending `(wake_at, component)` events.
+    wakes: BinaryHeap<Reverse<(Cycle, u32)>>,
+    /// Component ticks executed / skipped while asleep.
+    ticks_run: u64,
+    ticks_skipped: u64,
 }
 
 /// Access to a component's ports during its tick.
@@ -160,7 +158,7 @@ pub struct PortIo<'a> {
     inputs: &'a [LinkId],
     outputs: &'a [LinkId],
     ledger: &'a mut Ledger,
-    wake: Option<WakeCtx<'a>>,
+    sched: &'a mut Schedule,
 }
 
 impl PortIo<'_> {
@@ -235,12 +233,10 @@ impl PortIo<'_> {
         // flit's arrival cycle. Receivers that are still awake don't need
         // this — if they go to sleep later they scan their input links
         // (which already hold this flit) for the earliest arrival.
-        if let Some(w) = self.wake.as_mut() {
-            let rc = w.recv_comp[idx];
-            if rc != u32::MAX && w.asleep[rc as usize] {
-                let at = self.now + Cycle::from(self.links[idx].delay());
-                w.outbox.push((at, rc));
-            }
+        let rc = self.sched.recv_comp[idx];
+        if rc != u32::MAX && self.sched.asleep[rc as usize] {
+            let at = self.now + Cycle::from(self.links[idx].delay());
+            self.sched.wakes.push(Reverse((at, rc)));
         }
     }
 
@@ -251,61 +247,14 @@ impl PortIo<'_> {
     }
 }
 
-/// The compiled step schedule: everything the sharded cycle loop needs,
-/// lowered out of the object graph into flat arrays indexed by dense
-/// component/link ids. Built once by [`Engine::set_shards`]' compile pass
-/// and reused every cycle.
-#[derive(Debug)]
-struct ShardPlan {
-    /// Shard count actually compiled (≤ requested, ≥ 1).
-    n_shards: usize,
-    /// The [`Engine::set_shards`] value this plan was compiled for.
-    requested: usize,
-    /// Component and link counts at compile time; a mismatch at step time
-    /// means the fabric grew and the plan must be recompiled.
-    compiled_comps: usize,
-    compiled_links: usize,
-    /// Per-shard contiguous component ranges `[start, end)`, ascending and
-    /// covering all components, weight-balanced by port count. Contiguity
-    /// preserves the global registration-order tick sequence.
-    ranges: Vec<(u32, u32)>,
-    /// Component → owning shard.
-    comp_shard: Vec<u32>,
-    /// Link index → receiving component (`u32::MAX` for dangling links).
-    recv_comp: Vec<u32>,
-    /// Sleep bitset: `asleep[c]` ⇒ ticking `c` is provably a no-op until a
-    /// wake event for it matures (or `wake_component` clears it).
-    asleep: Vec<bool>,
-    /// Per-shard min-heaps of pending `(wake_at, component)` events.
-    heaps: Vec<BinaryHeap<Reverse<(Cycle, u32)>>>,
-    /// Per-shard outboxes: wake events produced while the shard steps,
-    /// exchanged into the owning shards' heaps at the per-cycle barrier.
-    outboxes: Vec<Vec<(Cycle, u32)>>,
-    /// Links whose sender and receiver live in different shards.
-    boundary_links: usize,
-    /// Component ticks actually executed / skipped while asleep.
-    ticks_run: u64,
-    ticks_skipped: u64,
-    /// Wake events that crossed a shard boundary at the barrier.
-    exchanged: u64,
-}
-
-/// Observability counters for the compiled sharded engine
-/// ([`Engine::sharding_stats`]).
+/// Work counters of the quiescence-skipping schedule
+/// ([`Engine::schedule_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardingStats {
-    /// Number of shards the fabric was compiled into.
-    pub shards: usize,
-    /// Components covered by the compiled schedule.
-    pub components: usize,
-    /// Links whose endpoints live in different shards (mailbox traffic).
-    pub boundary_links: usize,
+pub struct ScheduleStats {
     /// Component ticks actually executed.
     pub ticks_run: u64,
     /// Component ticks skipped because the component slept.
     pub ticks_skipped: u64,
-    /// Wake events exchanged across shard boundaries at barriers.
-    pub cross_shard_events: u64,
 }
 
 /// The simulation engine: owns links and components, advances time.
@@ -318,10 +267,10 @@ pub struct Engine {
     /// Flat arena of all components' port→link bindings.
     ports: Vec<LinkId>,
     ledger: Ledger,
-    /// Compiled step schedule; `None` until first compiled step.
-    plan: Option<ShardPlan>,
-    /// Shard count requested via [`Engine::set_shards`]; 0 = uncompiled.
-    shards_requested: usize,
+    sched: Schedule,
+    /// Never put components to sleep: the plain every-component loop,
+    /// reachable only through `oracle::with`.
+    oracle: bool,
     /// Torn-install audit state; `None` keeps the audit off the hot path.
     epoch_audit: Option<EpochAudit>,
 }
@@ -329,7 +278,10 @@ pub struct Engine {
 impl Engine {
     /// Creates an empty engine at cycle 0.
     pub fn new() -> Self {
-        Engine::default()
+        Engine {
+            oracle: oracle_requested(),
+            ..Engine::default()
+        }
     }
 
     /// Current simulation time.
@@ -345,6 +297,7 @@ impl Engine {
     pub fn add_link(&mut self, delay: u32, credits: u32) -> LinkId {
         let id = LinkId::from(self.links.len());
         self.links.push(Link::new(delay, credits));
+        self.sched.recv_comp.push(u32::MAX);
         id
     }
 
@@ -361,6 +314,11 @@ impl Engine {
         inputs: Vec<LinkId>,
         outputs: Vec<LinkId>,
     ) -> usize {
+        let index = self.comps.len();
+        for lid in &inputs {
+            self.sched.recv_comp[lid.index()] = index as u32;
+        }
+        self.sched.asleep.push(false);
         let in_start = self.ports.len() as u32;
         self.ports.extend_from_slice(&inputs);
         let out_start = self.ports.len() as u32;
@@ -372,7 +330,7 @@ impl Engine {
             out_start,
             out_len: outputs.len() as u32,
         });
-        self.comps.len() - 1
+        index
     }
 
     /// Number of registered components.
@@ -512,78 +470,44 @@ impl Engine {
         self.ledger.in_flight
     }
 
-    /// Switches the cycle loop to the compiled sharded schedule with
-    /// `shards` shards (≥ 1; clamped to the component count at compile
-    /// time), or back to plain object iteration with `shards == 0`.
+    /// Work counters of the quiescence-skipping schedule.
+    pub fn schedule_stats(&self) -> ScheduleStats {
+        ScheduleStats {
+            ticks_run: self.sched.ticks_run,
+            ticks_skipped: self.sched.ticks_skipped,
+        }
+    }
+
+    /// Out-of-band mutation: runs `f`, which changes state component
+    /// `index` polls outside its links (a control cell, a request flag),
+    /// and wakes that component so it acts on the change on the next
+    /// cycle even if it was asleep.
     ///
-    /// The schedule is compiled lazily on the next [`Engine::step`], so
-    /// this can be called before or after components are registered. The
-    /// compiled engine produces bit-identical runs to the uncompiled one;
-    /// callers that mutate component state out of band (control-plane
-    /// flips, [`Engine::component_mut`]) must pair the mutation with
-    /// [`Engine::wake_component`] or [`Engine::wake_all`].
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards_requested = shards;
-        if shards == 0 {
-            self.plan = None;
-        }
-    }
-
-    /// Shard count requested via [`Engine::set_shards`] (0 = uncompiled).
-    pub fn shards(&self) -> usize {
-        self.shards_requested
-    }
-
-    /// Counters from the compiled sharded engine, or `None` when running
-    /// uncompiled (or before the first compiled step).
-    pub fn sharding_stats(&self) -> Option<ShardingStats> {
-        self.plan.as_ref().map(|p| ShardingStats {
-            shards: p.n_shards,
-            components: p.compiled_comps,
-            boundary_links: p.boundary_links,
-            ticks_run: p.ticks_run,
-            ticks_skipped: p.ticks_skipped,
-            cross_shard_events: p.exchanged,
-        })
-    }
-
-    /// Forces a sleeping component back into the step schedule. No-op when
-    /// uncompiled or already awake. Must be called whenever component
-    /// state changes outside its own tick (e.g. a control-plane flag it
-    /// polls), since such changes are invisible to the wake protocol.
-    pub fn wake_component(&mut self, index: usize) {
-        if let Some(plan) = self.plan.as_mut() {
-            if index < plan.asleep.len() {
-                plan.asleep[index] = false;
-            }
-        }
-    }
-
-    /// Wakes every sleeping component (see [`Engine::wake_component`]).
-    /// Cheap: one pass over the sleep bitset; spurious wakes cost one tick
-    /// each and components immediately re-sleep if still quiescent.
-    pub fn wake_all(&mut self) {
-        if let Some(plan) = self.plan.as_mut() {
-            plan.asleep.fill(false);
-        }
+    /// Such changes are invisible to the wake protocol, so this is the
+    /// only path that wakes a sleeper other than a link arrival.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not a registered component.
+    pub fn control<R>(&mut self, index: usize, f: impl FnOnce() -> R) -> R {
+        self.sched.asleep[index] = false;
+        f()
     }
 
     /// Catches sleeping components' per-cycle accounting up to the current
-    /// cycle (see [`Component::flush`]). Call before reading per-component
-    /// stats at the end of a compiled run; no-op when uncompiled.
+    /// cycle (see [`Component::flush`]). Call before reading
+    /// per-component stats; the run can continue afterwards.
     pub fn flush(&mut self) {
         let now = self.now;
-        if let Some(plan) = self.plan.as_mut() {
-            for (comp, &asleep) in self.comps.iter_mut().zip(&plan.asleep) {
-                if asleep {
-                    comp.flush(now);
-                }
+        for (comp, &asleep) in self.comps.iter_mut().zip(&self.sched.asleep) {
+            if asleep {
+                comp.flush(now);
             }
         }
     }
 
     /// Makes newly propagated flits and credits visible on every active
-    /// link — the link phase shared by both cycle loops.
+    /// link.
     fn begin_links(&mut self) {
         let now = self.now;
         // Only links with credits propagating back (or faults installed)
@@ -605,222 +529,58 @@ impl Engine {
     }
 
     /// Advances the simulation by one cycle.
+    ///
+    /// Phases: (1) the link phase; (2) wake phase — pop every matured
+    /// `(wake_at ≤ now)` event; (3) tick phase — every awake component in
+    /// ascending index order, each put to sleep after its tick if it
+    /// declares itself quiescent. Every wake targets a cycle ≥ now+1, so
+    /// a sleeper never misses same-cycle work (see DESIGN.md §13).
     pub fn step(&mut self) {
-        if self.shards_requested == 0 {
-            self.step_uncompiled();
-        } else {
-            self.ensure_plan();
-            self.step_compiled();
-        }
-    }
-
-    /// The original object-iteration cycle loop — the oracle the compiled
-    /// path must match bit for bit.
-    fn step_uncompiled(&mut self) {
         self.now += 1;
         self.begin_links();
         let now = self.now;
+        let sched = &mut self.sched;
+        while let Some(&Reverse((at, comp))) = sched.wakes.peek() {
+            if at > now {
+                break;
+            }
+            sched.wakes.pop();
+            sched.asleep[comp as usize] = false;
+        }
+        let may_sleep = !self.oracle;
         let links = &mut self.links[..];
         let ports = &self.ports[..];
         let ledger = &mut self.ledger;
-        for (comp, b) in self.comps.iter_mut().zip(&self.bindings) {
+        for (c, (comp, b)) in self.comps.iter_mut().zip(&self.bindings).enumerate() {
+            if sched.asleep[c] {
+                sched.ticks_skipped += 1;
+                continue;
+            }
+            sched.ticks_run += 1;
+            let inputs = &ports[b.in_start as usize..(b.in_start + b.in_len) as usize];
+            let outputs = &ports[b.out_start as usize..(b.out_start + b.out_len) as usize];
             let mut io = PortIo {
                 now,
                 links: &mut *links,
-                inputs: &ports[b.in_start as usize..(b.in_start + b.in_len) as usize],
-                outputs: &ports[b.out_start as usize..(b.out_start + b.out_len) as usize],
+                inputs,
+                outputs,
                 ledger: &mut *ledger,
-                wake: None,
+                sched: &mut *sched,
             };
             comp.tick(now, &mut io);
-        }
-        #[cfg(feature = "invariant-audit")]
-        self.audit_invariants();
-        self.audit_epochs();
-    }
-
-    /// Recompiles the step schedule if absent or stale (shard count or
-    /// fabric shape changed since the last compile).
-    fn ensure_plan(&mut self) {
-        let stale = match &self.plan {
-            Some(p) => {
-                p.requested != self.shards_requested
-                    || p.compiled_comps != self.comps.len()
-                    || p.compiled_links != self.links.len()
-            }
-            None => true,
-        };
-        if stale {
-            self.plan = Some(self.compile_plan());
-        }
-    }
-
-    /// The compile pass: lowers the fabric into a [`ShardPlan`].
-    ///
-    /// Components are cut into contiguous index ranges (preserving the
-    /// global tick order) balanced by per-component weight `1 + ports`, a
-    /// proxy for tick cost. Link→receiver maps are flattened from the port
-    /// arena so wake-on-send is two array loads.
-    fn compile_plan(&self) -> ShardPlan {
-        let n_comps = self.comps.len();
-        let n = self.shards_requested.clamp(1, n_comps.max(1));
-        let weights: Vec<u64> = self
-            .bindings
-            .iter()
-            .map(|b| 1 + u64::from(b.in_len + b.out_len))
-            .collect();
-        let total: u64 = weights.iter().sum();
-        let mut ranges = Vec::with_capacity(n);
-        let mut comp_shard = vec![0u32; n_comps];
-        let mut cursor = 0usize;
-        let mut acc = 0u64;
-        for s in 0..n {
-            let start = cursor;
-            // Leave at least one component for each shard still to come.
-            let max_end = n_comps - (n - 1 - s);
-            let target = (total * (s as u64 + 1)).div_ceil(n as u64);
-            while cursor < max_end && (cursor == start || acc < target) {
-                acc += weights[cursor];
-                cursor += 1;
-            }
-            for cs in &mut comp_shard[start..cursor] {
-                *cs = s as u32;
-            }
-            ranges.push((start as u32, cursor as u32));
-        }
-        debug_assert_eq!(cursor, n_comps, "partition must cover all components");
-
-        let mut recv_comp = vec![u32::MAX; self.links.len()];
-        let mut send_comp = vec![u32::MAX; self.links.len()];
-        for (ci, b) in self.bindings.iter().enumerate() {
-            for lid in &self.ports[b.in_start as usize..(b.in_start + b.in_len) as usize] {
-                recv_comp[lid.index()] = ci as u32;
-            }
-            for lid in &self.ports[b.out_start as usize..(b.out_start + b.out_len) as usize] {
-                send_comp[lid.index()] = ci as u32;
-            }
-        }
-        let boundary_links = (0..self.links.len())
-            .filter(|&l| {
-                let (snd, rcv) = (send_comp[l], recv_comp[l]);
-                snd != u32::MAX
-                    && rcv != u32::MAX
-                    && comp_shard[snd as usize] != comp_shard[rcv as usize]
-            })
-            .count();
-
-        ShardPlan {
-            n_shards: n,
-            requested: self.shards_requested,
-            compiled_comps: n_comps,
-            compiled_links: self.links.len(),
-            ranges,
-            comp_shard,
-            recv_comp,
-            asleep: vec![false; n_comps],
-            heaps: (0..n).map(|_| BinaryHeap::new()).collect(),
-            outboxes: (0..n).map(|_| Vec::new()).collect(),
-            boundary_links,
-            ticks_run: 0,
-            ticks_skipped: 0,
-            exchanged: 0,
-        }
-    }
-
-    /// One cycle of the compiled sharded schedule.
-    ///
-    /// Phases: (1) the global link phase, identical to the uncompiled
-    /// loop; (2) wake phase — pop every matured `(wake_at ≤ now)` event
-    /// from each shard's heap; (3) tick phase — shards in order, each
-    /// ticking its awake components in ascending index order (globally
-    /// ascending across shards, so the oracle's tick order is preserved
-    /// exactly, minus provable no-ops); (4) barrier — drain every shard's
-    /// outbox into the owning shards' heaps. All wake events target cycles
-    /// ≥ now+1 and links impose ≥ 1 cycle of delay, so no shard can
-    /// observe another shard's same-cycle work: the result is independent
-    /// of the order shards execute in (see DESIGN.md §13).
-    fn step_compiled(&mut self) {
-        self.now += 1;
-        self.begin_links();
-        let now = self.now;
-        let plan = self.plan.as_mut().expect("ensure_plan ran");
-        // Wake phase.
-        for heap in &mut plan.heaps {
-            while let Some(&Reverse((at, comp))) = heap.peek() {
-                if at > now {
-                    break;
+            if may_sleep && comp.quiescent() {
+                sched.asleep[c] = true;
+                // Sleep-time scan: the earliest in-flight arrival on any
+                // input link bounds how long this component may sleep.
+                // Senders that tick later this cycle find the sleep bit
+                // set and wake-on-send instead.
+                let next = inputs
+                    .iter()
+                    .filter_map(|lid| links[lid.index()].next_arrival())
+                    .min();
+                if let Some(at) = next {
+                    sched.wakes.push(Reverse((at.max(now + 1), c as u32)));
                 }
-                heap.pop();
-                plan.asleep[comp as usize] = false;
-            }
-        }
-        // Tick phase.
-        let links = &mut self.links[..];
-        let ports = &self.ports[..];
-        let ledger = &mut self.ledger;
-        let ShardPlan {
-            ranges,
-            comp_shard,
-            recv_comp,
-            asleep,
-            heaps,
-            outboxes,
-            ticks_run,
-            ticks_skipped,
-            exchanged,
-            ..
-        } = &mut *plan;
-        for (s, &(start, end)) in ranges.iter().enumerate() {
-            for c in start as usize..end as usize {
-                if asleep[c] {
-                    *ticks_skipped += 1;
-                    continue;
-                }
-                *ticks_run += 1;
-                let b = self.bindings[c];
-                let inputs = &ports[b.in_start as usize..(b.in_start + b.in_len) as usize];
-                let outputs = &ports[b.out_start as usize..(b.out_start + b.out_len) as usize];
-                let mut io = PortIo {
-                    now,
-                    links: &mut *links,
-                    inputs,
-                    outputs,
-                    ledger: &mut *ledger,
-                    wake: Some(WakeCtx {
-                        recv_comp,
-                        asleep,
-                        outbox: &mut outboxes[s],
-                    }),
-                };
-                self.comps[c].tick(now, &mut io);
-                if self.comps[c].quiescent() {
-                    asleep[c] = true;
-                    // Sleep-time scan: the earliest in-flight arrival on
-                    // any input link bounds how long this component may
-                    // sleep. Senders that tick later this cycle find the
-                    // sleep bit set and wake-on-send instead.
-                    let mut next: Option<Cycle> = None;
-                    for lid in inputs {
-                        if let Some(at) = links[lid.index()].next_arrival() {
-                            next = Some(next.map_or(at, |n| n.min(at)));
-                        }
-                    }
-                    if let Some(at) = next {
-                        outboxes[s].push((at.max(now + 1), c as u32));
-                    }
-                }
-            }
-        }
-        // Barrier: exchange outboxes into the owning shards' heaps. With a
-        // thread-per-shard tick phase this is the only cross-shard
-        // communication point; run single-threaded it is a plain drain.
-        for (s, outbox) in outboxes.iter_mut().enumerate() {
-            for (at, comp) in outbox.drain(..) {
-                let target = comp_shard[comp as usize] as usize;
-                if target != s {
-                    *exchanged += 1;
-                }
-                heaps[target].push(Reverse((at, comp)));
             }
         }
         #[cfg(feature = "invariant-audit")]
@@ -924,17 +684,6 @@ impl Engine {
         }
         self.now
     }
-
-    /// Mutable access to a component, downcast by the caller.
-    ///
-    /// This is an escape hatch for test instrumentation; simulation logic
-    /// should communicate through links and shared trackers instead. The
-    /// component is woken (see [`Engine::wake_component`]) since the
-    /// caller may change state the wake protocol cannot see.
-    pub fn component_mut(&mut self, index: usize) -> &mut dyn Component {
-        self.wake_component(index);
-        self.comps[index].as_mut()
-    }
 }
 
 impl std::fmt::Debug for Engine {
@@ -946,6 +695,40 @@ impl std::fmt::Debug for Engine {
             self.comps.len(),
             self.links.len()
         )
+    }
+}
+
+/// Whether [`Engine::new`] should build the plain-loop oracle.
+#[cfg(any(test, feature = "oracle"))]
+fn oracle_requested() -> bool {
+    oracle::ACTIVE.get()
+}
+
+#[cfg(not(any(test, feature = "oracle")))]
+fn oracle_requested() -> bool {
+    false
+}
+
+/// The plain loop — tick every component every cycle, never sleep — kept
+/// as a differential oracle for tests of quiescence skipping. Compiled
+/// only with the `oracle` feature, which only dev-dependencies enable.
+#[cfg(any(test, feature = "oracle"))]
+pub mod oracle {
+    use std::cell::Cell;
+
+    thread_local! {
+        pub(super) static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs `f` with every [`Engine`](super::Engine) created on this thread
+    /// inside it stepping as the plain loop. Engines created on other
+    /// threads (sweep workers) are unaffected, so sweeps must run with one
+    /// job to be covered.
+    pub fn with<R>(f: impl FnOnce() -> R) -> R {
+        let outer = ACTIVE.replace(true);
+        let out = f();
+        ACTIVE.set(outer);
+        out
     }
 }
 
@@ -1155,9 +938,8 @@ mod tests {
     /// Gappy producer → relay → relay → consumer; returns the engine plus
     /// the consumer's seen counter and each relay's tick counter.
     #[allow(clippy::type_complexity)]
-    fn relay_chain(shards: usize) -> (Engine, Rc<Cell<u64>>, Vec<Rc<Cell<u64>>>) {
+    fn relay_chain() -> (Engine, Rc<Cell<u64>>, Vec<Rc<Cell<u64>>>) {
         let mut e = Engine::new();
-        e.set_shards(shards);
         let l1 = e.add_link(2, 4);
         let l2 = e.add_link(3, 4);
         let l3 = e.add_link(1, 4);
@@ -1189,43 +971,43 @@ mod tests {
     }
 
     #[test]
-    fn compiled_engine_matches_uncompiled_cycle_by_cycle() {
-        // shards=0 is the uncompiled oracle; every compiled shard count
-        // must reproduce its observable trace exactly, every cycle.
-        for shards in [1usize, 2, 4] {
-            let (mut oracle, seen_o, _) = relay_chain(0);
-            let (mut compiled, seen_c, _) = relay_chain(shards);
-            for cycle in 1..=120u64 {
-                oracle.step();
-                compiled.step();
-                assert_eq!(
-                    (
-                        seen_o.get(),
-                        oracle.total_flit_moves(),
-                        oracle.flits_in_links()
-                    ),
-                    (
-                        seen_c.get(),
-                        compiled.total_flit_moves(),
-                        compiled.flits_in_links()
-                    ),
-                    "divergence at cycle {cycle} with {shards} shards"
-                );
-            }
-            assert_eq!(seen_c.get(), 10, "all flits delivered");
-            let stats = compiled.sharding_stats().expect("compiled plan exists");
-            assert_eq!(stats.shards, shards);
-            assert!(
-                stats.ticks_skipped > 0,
-                "relays must sleep through idle gaps: {stats:?}"
+    fn skipping_matches_oracle_cycle_by_cycle() {
+        let (mut oracle, seen_o, _) = oracle::with(relay_chain);
+        let (mut skipping, seen_s, _) = relay_chain();
+        for cycle in 1..=120u64 {
+            oracle.step();
+            skipping.step();
+            assert_eq!(
+                (
+                    seen_o.get(),
+                    oracle.total_flit_moves(),
+                    oracle.flits_in_links()
+                ),
+                (
+                    seen_s.get(),
+                    skipping.total_flit_moves(),
+                    skipping.flits_in_links()
+                ),
+                "divergence at cycle {cycle}"
             );
-            assert_eq!(stats.ticks_run + stats.ticks_skipped, 120 * 4);
         }
+        assert_eq!(seen_s.get(), 10, "all flits delivered");
+        assert_eq!(
+            oracle.schedule_stats().ticks_skipped,
+            0,
+            "oracle never sleeps"
+        );
+        let stats = skipping.schedule_stats();
+        assert!(
+            stats.ticks_skipped > 0,
+            "relays must sleep through idle gaps: {stats:?}"
+        );
+        assert_eq!(stats.ticks_run + stats.ticks_skipped, 120 * 4);
     }
 
     #[test]
     fn sleeping_relays_skip_ticks_but_miss_nothing() {
-        let (mut e, seen, relay_ticks) = relay_chain(2);
+        let (mut e, seen, relay_ticks) = relay_chain();
         e.run_for(120);
         assert_eq!(seen.get(), 10);
         for ticks in &relay_ticks {
@@ -1237,43 +1019,22 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_wakes_exchange_through_mailboxes() {
-        // 4 components in 4 shards: every producer→relay and relay→relay
-        // link crosses a shard boundary, so wakes must ride the barrier.
-        let (mut e, seen, _) = relay_chain(4);
-        e.run_for(120);
-        assert_eq!(seen.get(), 10);
-        let stats = e.sharding_stats().expect("compiled plan exists");
-        assert_eq!(stats.boundary_links, 3);
-        assert!(
-            stats.cross_shard_events > 0,
-            "cross-shard wakes must flow through the barrier: {stats:?}"
+    fn control_wakes_a_sleeper() {
+        let (mut e, seen, relay_ticks) = relay_chain();
+        e.run_for(150);
+        assert_eq!(seen.get(), 10, "traffic is over");
+        // The relays are asleep: with nothing pending, a step leaves them
+        // untouched...
+        let before = [relay_ticks[0].get(), relay_ticks[1].get()];
+        e.step();
+        assert_eq!([relay_ticks[0].get(), relay_ticks[1].get()], before);
+        // ...until an out-of-band mutation wakes exactly its target.
+        e.control(1, || ());
+        e.step();
+        assert_eq!(
+            [relay_ticks[0].get(), relay_ticks[1].get()],
+            [before[0] + 1, before[1]],
+            "only the controlled relay ticks"
         );
-    }
-
-    #[test]
-    fn set_shards_zero_returns_to_uncompiled() {
-        let (mut e, seen, _) = relay_chain(2);
-        e.run_for(40);
-        e.set_shards(0);
-        assert!(e.sharding_stats().is_none(), "plan dropped");
-        e.run_for(80);
-        assert_eq!(seen.get(), 10, "run completes uncompiled");
-    }
-
-    #[test]
-    fn wake_all_and_component_mut_wake_sleepers() {
-        let (mut e, _, relay_ticks) = relay_chain(1);
-        e.run_for(60);
-        let before = relay_ticks[0].get();
-        // Relays are asleep between worms; a forced wake must tick them
-        // at least once more even with no traffic pending.
-        e.wake_all();
-        e.step();
-        assert_eq!(relay_ticks[0].get(), before + 1, "woken relay ticks");
-        let before = relay_ticks[0].get();
-        let _ = e.component_mut(1);
-        e.step();
-        assert_eq!(relay_ticks[0].get(), before + 1, "component_mut wakes");
     }
 }

@@ -161,7 +161,7 @@ pub struct CentralBufferSwitch {
     sem: Option<SemHandle>,
     rr: usize,
     /// Cycle of the last executed tick — the skip-invariance watermark.
-    /// The compiled engine may skip ticks while the switch is quiescent;
+    /// The engine may skip ticks while the switch is quiescent;
     /// the gap since `last_tick` replays exactly what those ticks would
     /// have done (advance `rr`, observe zero occupancy).
     last_tick: Cycle,
@@ -345,7 +345,7 @@ impl CentralBufferSwitch {
 impl Component for CentralBufferSwitch {
     #[allow(clippy::needless_range_loop)] // index loops enable split borrows across ports
     fn tick(&mut self, now: Cycle, io: &mut PortIo<'_>) {
-        // Catch up cycles the compiled engine skipped while this switch
+        // Catch up cycles the engine skipped while this switch
         // slept (always zero when ticked every cycle). A sleeping switch
         // is never purging, so the skipped ticks were plain idle ticks.
         self.replay_idle_cycles(now - self.last_tick - 1);
@@ -887,7 +887,7 @@ impl Component for CentralBufferSwitch {
 
     /// An empty switch with no control-plane work pending does nothing
     /// per tick beyond the idle bookkeeping `replay_idle_cycles` replays —
-    /// safe for the compiled engine to skip until traffic or a wake
+    /// safe for the engine to skip until traffic or a wake
     /// arrives. Purging and pending table swaps keep it awake because
     /// those act on every tick.
     fn quiescent(&self) -> bool {
@@ -1176,9 +1176,9 @@ mod tests {
         // streaming the rest of the packet; swallow mode must absorb every
         // straggler (each one earns a credit back, so the source drains).
         w.engine.run_for(10);
-        ctl.begin_purge();
+        w.engine.control(0, || ctl.begin_purge());
         w.engine.run_for(total + 20);
-        ctl.end_purge();
+        w.engine.control(0, || ctl.end_purge());
         assert!(ctl.is_empty(), "purged switch reports empty");
         {
             let st = w.stats.borrow();
@@ -1221,7 +1221,7 @@ mod tests {
             )],
             4,
         );
-        ctl.install_tables(Rc::new(swapped));
+        w.engine.control(0, || ctl.install_tables(Rc::new(swapped)));
         w.engine.run_for(3);
         assert!(ctl.tables_pending(), "switch is busy; swap must wait");
         w.engine.run_for(400);

@@ -8,6 +8,9 @@
 //! the engine). This models the SP2-style service interface — switches
 //! take management commands over a path separate from the data network —
 //! without threading new parameters through [`netsim::engine::Engine`].
+//! A sleeping switch does not poll its cell, so a cell attached to a
+//! switch in an engine is changed only inside
+//! [`netsim::engine::Engine::control`], which wakes the switch.
 //!
 //! Three commands exist:
 //!

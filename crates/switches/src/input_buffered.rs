@@ -78,7 +78,7 @@ pub struct InputBufferedSwitch {
     stats: Rc<RefCell<SwitchStats>>,
     ctl: Option<Rc<SwitchCtl>>,
     /// Cycle of the last executed tick — the skip-invariance watermark.
-    /// The compiled engine may skip ticks while the switch is quiescent;
+    /// The engine may skip ticks while the switch is quiescent;
     /// the gap since `last_tick` replays the occupancy samples those idle
     /// ticks would have taken (output round-robins only move on grants,
     /// so an idle tick mutates nothing else).
@@ -195,7 +195,7 @@ impl InputBufferedSwitch {
 impl Component for InputBufferedSwitch {
     #[allow(clippy::needless_range_loop)] // index loops enable split borrows across ports
     fn tick(&mut self, now: Cycle, io: &mut PortIo<'_>) {
-        // Catch up cycles the compiled engine skipped while this switch
+        // Catch up cycles the engine skipped while this switch
         // slept (always zero when ticked every cycle). A sleeping switch
         // is never purging, so the skipped ticks were plain idle ticks.
         self.replay_idle_cycles(now - self.last_tick - 1);
@@ -466,7 +466,7 @@ impl Component for InputBufferedSwitch {
 
     /// An empty switch with no control-plane work pending does nothing
     /// per tick beyond the occupancy sample `replay_idle_cycles` replays —
-    /// safe for the compiled engine to skip until traffic or a wake
+    /// safe for the engine to skip until traffic or a wake
     /// arrives. Purging and pending table swaps keep it awake because
     /// those act on every tick.
     fn quiescent(&self) -> bool {
@@ -699,9 +699,9 @@ mod tests {
         // Purge mid-replication; the source streams the rest into the
         // swallow (one credit back per straggler keeps it draining).
         w.engine.run_for(10);
-        ctl.begin_purge();
+        w.engine.control(0, || ctl.begin_purge());
         w.engine.run_for(total + 20);
-        ctl.end_purge();
+        w.engine.control(0, || ctl.end_purge());
         assert!(ctl.is_empty(), "purged switch reports empty");
         {
             let st = w.stats.borrow();
@@ -738,7 +738,7 @@ mod tests {
             )],
             4,
         );
-        ctl.install_tables(Rc::new(swapped));
+        w.engine.control(0, || ctl.install_tables(Rc::new(swapped)));
         w.engine.run_for(3);
         assert!(ctl.tables_pending(), "switch is busy; swap must wait");
         w.engine.run_for(400);
