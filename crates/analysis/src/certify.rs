@@ -41,11 +41,9 @@
 
 use crate::cdg::{Channel, Dependency, ShapeClass};
 use crate::destset::{CompactTables, RunSet};
-use crate::report::{AnalysisStats, ConfigReport, CycleReport};
-use crate::roundtrip;
+use crate::report::{ConfigReport, CycleReport};
 use mintopo::karytree::KaryTree;
 use mintopo::reach::PortClass;
-use mintopo::route::{ReplicatePolicy, RouteTables};
 use mintopo::topology::{Attach, Topology};
 use netsim::ids::SwitchId;
 
@@ -561,124 +559,11 @@ pub fn certify_fabric(
     }
 }
 
-/// Certificate-backed activation gate for reroute candidates: the drop-in
-/// replacement for [`crate::vet_reroute`] at item-2 fabric sizes.
-///
-/// The structural half (stranded-switch and partition checks) runs over
-/// the compressed encoding, the deadlock half is the O(routes) certificate
-/// check, and the header round-trip lint still exercises the production
-/// decode. Verdicts agree with [`crate::vet_reroute`] on every
-/// honest masked rebuild and on the pathological candidates in the test
-/// suite; the differential tier enforces it.
-///
-/// # Errors
-///
-/// Returns the full report when any error-severity finding exists; the
-/// caller must stay on the old tables and degrade instead of activating.
-pub fn vet_reroute_certified(
-    topo: &Topology,
-    candidate: &RouteTables,
-    policy: ReplicatePolicy,
-    cert: &Certificate,
-) -> Result<AnalysisStats, Box<ConfigReport>> {
-    let compact = CompactTables::from_dense(candidate);
-    let mut report = ConfigReport::new();
-    check_live_switches_compact(topo, &compact, &mut report);
-    check_full_reachability_compact(topo, &compact, &mut report);
-    certify_fabric(cert, topo, &compact, &mut report);
-    roundtrip::lint_roundtrips(candidate, policy, &mut report);
-    if report.has_errors() {
-        Err(Box::new(report))
-    } else {
-        Ok(report.stats)
-    }
-}
-
-/// Compressed-encoding mirror of the stranded-live-switch check in
-/// [`crate::vet_reroute`]: identical verdicts and messages, O(runs) work.
-fn check_live_switches_compact(topo: &Topology, tables: &CompactTables, report: &mut ConfigReport) {
-    for s in 0..topo.n_switches() {
-        let sw = SwitchId::from(s);
-        let hosts: Vec<u32> = (0..topo.ports(sw))
-            .filter_map(|p| match topo.attach(sw, p) {
-                Attach::Host(h) => Some(h.0),
-                _ => None,
-            })
-            .collect();
-        if hosts.is_empty() {
-            continue; // transit switch fully masked off — legitimately dark
-        }
-        let table = tables.table(sw);
-        let routable = (0..table.n_ports()).any(|p| !table.port(p).reach.is_empty());
-        if !routable {
-            report.error(
-                "unreachable-switch",
-                format!(
-                    "switch {s} still has {} attached host(s) ({}) but every port's \
-                     reach string is empty — the CDG is vacuously acyclic there, yet \
-                     any worm injected at the switch can never be routed",
-                    hosts.len(),
-                    hosts
-                        .iter()
-                        .map(|h| format!("h{h}"))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                ),
-            );
-        }
-    }
-}
-
-/// Compressed-encoding mirror of the partition check in
-/// [`crate::vet_reroute`]: instead of probing `try_route_unicast` per
-/// destination (O(N · ports)), the unreachable set is the complement of
-/// the union of the routable port reaches — O(ports · runs) per switch,
-/// same verdicts, same messages.
-fn check_full_reachability_compact(
-    topo: &Topology,
-    tables: &CompactTables,
-    report: &mut ConfigReport,
-) {
-    for s in 0..topo.n_switches() {
-        let sw = SwitchId::from(s);
-        let table = tables.table(sw);
-        let has_hosts = (0..topo.ports(sw)).any(|p| matches!(topo.attach(sw, p), Attach::Host(_)));
-        let live = (0..table.n_ports()).any(|p| !table.port(p).reach.is_empty());
-        if !has_hosts || !live {
-            continue; // transit switch, or fully dark: the liveness check owns the latter
-        }
-        // A destination is routable here iff some Down or Up port's reach
-        // contains it (mirrors `SwitchTable::try_route_unicast`).
-        let mut routable = RunSet::empty(tables.n_hosts());
-        for p in 0..table.n_ports() {
-            let info = table.port(p);
-            if info.class != PortClass::Unused {
-                routable.union_with(&info.reach);
-            }
-        }
-        let unreachable = routable.complement();
-        if !unreachable.is_empty() {
-            let missing: Vec<String> = unreachable.iter().map(|h| format!("h{}", h.0)).collect();
-            report.error(
-                "unreachable-destination",
-                format!(
-                    "switch {s} cannot route to {} host(s) ({}) under the candidate \
-                     tables — the masked fabric is partitioned; the first worm \
-                     addressed there would have no output port",
-                    missing.len(),
-                    missing.join(","),
-                ),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze_fabric, vet_reroute};
-    use mintopo::topology::TopologyBuilder;
-    use netsim::ids::NodeId;
+    use crate::{analyze_fabric, roundtrip};
+    use mintopo::route::{ReplicatePolicy, RouteTables};
 
     fn karytree_cert_and_tables(k: usize, n: usize) -> (KaryTree, Certificate, CompactTables) {
         let tree = KaryTree::new(k, n);
@@ -792,107 +677,5 @@ mod tests {
         let mut report = ConfigReport::new();
         certify_fabric(&other, tree.topology(), &compact, &mut report);
         assert!(report.errors().any(|d| d.code == "certificate-mismatch"));
-    }
-
-    /// The crossed-Down pathology from the explicit analyzer's test suite:
-    /// the certificate checker must reject it too, with a concrete closed
-    /// channel chain.
-    #[test]
-    fn rank_violating_candidate_rejected_with_channel_chain() {
-        use mintopo::reach::{PortClass, PortInfo};
-        use mintopo::route::SwitchTable;
-        use netsim::destset::DestSet;
-
-        let mut b = TopologyBuilder::new(2);
-        let a = b.add_switch(2, 1);
-        let c = b.add_switch(2, 1);
-        b.attach_host(NodeId(0), a, 1);
-        b.attach_host(NodeId(1), c, 1);
-        b.connect(a, 0, c, 0);
-        let topo = b.build();
-
-        let full = DestSet::full(2);
-        let mk = |own: u32| {
-            SwitchTable::from_ports(
-                vec![
-                    PortInfo {
-                        class: PortClass::Down,
-                        reach: full.clone(),
-                    },
-                    PortInfo {
-                        class: PortClass::Down,
-                        reach: DestSet::singleton(2, NodeId(own)),
-                    },
-                ],
-                2,
-            )
-        };
-        let candidate = RouteTables::from_tables(vec![mk(0), mk(1)], 2);
-
-        let cert = Certificate::for_topology(&topo);
-        let report = vet_reroute_certified(&topo, &candidate, ReplicatePolicy::ReturnOnly, &cert)
-            .expect_err("crossed-down candidate must be rejected");
-        assert!(
-            report.errors().any(|d| d.code == "rank-violation"),
-            "{:?}",
-            report.diagnostics
-        );
-        // Concrete channel-chain counterexample: the closed 2-cycle through
-        // both switch output channels, same channels the explicit analyzer
-        // names.
-        assert!(!report.cycles.is_empty());
-        let chain = report.cycles[0].channels.join(" ");
-        assert!(chain.contains("s0.out0"), "{chain}");
-        assert!(chain.contains("s1.out0"), "{chain}");
-        assert!(!report.cycles[0].edges.is_empty());
-
-        // And the explicit gate agrees on the verdict.
-        assert!(vet_reroute(&topo, &candidate, ReplicatePolicy::ReturnOnly).is_err());
-    }
-
-    #[test]
-    fn certified_gate_agrees_with_explicit_gate_on_masked_rebuilds() {
-        let tree = KaryTree::new(2, 3);
-        let topo = tree.topology();
-        let cert = Certificate::for_karytree(&tree);
-        // A healthy rebuild and a couple of masked ones.
-        let masks: Vec<Vec<(SwitchId, usize)>> = vec![
-            vec![],
-            vec![(tree.switch_at(0, 0), 2), (tree.switch_at(1, 0), 0)],
-            vec![(tree.switch_at(1, 1), 2), (tree.switch_at(2, 1), 0)],
-        ];
-        for dead in masks {
-            let candidate = RouteTables::build_masked(topo, &dead);
-            let explicit = vet_reroute(topo, &candidate, ReplicatePolicy::ReturnOnly);
-            let certified =
-                vet_reroute_certified(topo, &candidate, ReplicatePolicy::ReturnOnly, &cert);
-            match (&explicit, &certified) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "stats must agree for {dead:?}"),
-                (Err(_), Err(_)) => {}
-                _ => panic!("gate verdicts disagree for {dead:?}: {explicit:?} vs {certified:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn partitioning_mask_rejected_by_certified_gate_too() {
-        let tree = KaryTree::new(2, 2);
-        let topo = tree.topology();
-        let cert = Certificate::for_karytree(&tree);
-        // Kill both up links out of stage-0 switch 0 — hosts 0/1 still
-        // inject there but can no longer reach hosts 2/3 anywhere.
-        let s = tree.switch_at(0, 0);
-        let u0 = tree.switch_at(1, 0);
-        let u1 = tree.switch_at(1, 1);
-        let candidate = RouteTables::build_masked(topo, &[(s, 2), (s, 3), (u0, 0), (u1, 0)]);
-        let report = vet_reroute_certified(topo, &candidate, ReplicatePolicy::ReturnOnly, &cert)
-            .expect_err("partitioning mask must be rejected");
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.code == "unreachable-destination"),
-            "{report:?}"
-        );
     }
 }

@@ -40,9 +40,10 @@ pub mod roundtrip;
 pub mod scc;
 mod symmetry;
 pub mod timing;
+pub mod vet;
 
 pub use cdg::{build_cdg, build_cdg_budgeted, Channel, ChannelGraph, Dependency, ShapeClass};
-pub use certify::{certify_fabric, vet_reroute_certified, Certificate, CertifyOutcome, RankRule};
+pub use certify::{certify_fabric, Certificate, CertifyOutcome, RankRule};
 pub use checks::{switch_sizing, ArchClass};
 pub use destset::{CompactPort, CompactTable, CompactTables, RunSet};
 pub use model::{
@@ -55,13 +56,12 @@ pub use replay::{
 pub use report::{AnalysisStats, ConfigReport, CycleReport, Diagnostic, Severity};
 pub use roundtrip::lint_roundtrips;
 pub use scc::tarjan_sccs;
-pub use timing::{
-    check_model_opts_timed, check_model_timed, vet_reroute_certified_timed, vet_reroute_timed,
-    Samples, VetStats,
-};
+pub use timing::{Samples, VetStats};
+pub use vet::{MemoStats, Verdict, Vetter};
 
 use mintopo::route::{ReplicatePolicy, RouteTables};
-use mintopo::topology::Topology;
+use mintopo::topology::{Attach, Topology};
+use netsim::ids::SwitchId;
 
 /// Runs the fabric-level analyses — CDG construction + SCC cycle
 /// detection, and the header round-trip lint — appending findings and
@@ -96,6 +96,21 @@ pub fn analyze_fabric_budgeted(
     max_deps: usize,
     report: &mut ConfigReport,
 ) -> bool {
+    let completed = check_cdg(topo, tables, max_deps, report);
+    roundtrip::lint_roundtrips(tables, policy, report);
+    completed
+}
+
+/// The CDG half of [`analyze_fabric_budgeted`]: enumerates at most
+/// `max_deps` dependency edges and reports every cycle as `cdg-cycle`, or
+/// the truncation as a `cdg-budget-exhausted` warning. Returns whether
+/// the enumeration completed.
+pub(crate) fn check_cdg(
+    topo: &Topology,
+    tables: &RouteTables,
+    max_deps: usize,
+    report: &mut ConfigReport,
+) -> bool {
     let budgeted = build_cdg_budgeted(topo, tables, max_deps);
     let graph = &budgeted.graph;
     report.stats.channels = graph.channels.len();
@@ -111,7 +126,6 @@ pub fn analyze_fabric_budgeted(
                 graph.channels.len()
             ),
         );
-        roundtrip::lint_roundtrips(tables, policy, report);
         return false;
     }
 
@@ -151,23 +165,18 @@ pub fn analyze_fabric_budgeted(
         );
         report.cycles.push(CycleReport { channels, edges });
     }
-
-    roundtrip::lint_roundtrips(tables, policy, report);
     true
 }
 
-/// Activation gate for online reroute candidates (DESIGN.md §10): runs the
-/// full fabric analysis — CDG construction + Tarjan cycle detection and the
-/// header round-trip lint — over the *candidate* tables and accepts only a
-/// report free of errors.
+/// The explicit reroute gate: runs the full fabric analysis — CDG
+/// construction + Tarjan cycle detection and the header round-trip lint —
+/// plus the liveness and reachability checks over the *candidate* tables
+/// and accepts only a report free of errors.
 ///
-/// An honest masked rebuild (`RouteTables::build_masked`) cannot introduce
-/// a dependency cycle: masking only removes channels and shrinks reach
-/// strings, while the up/down orientation comes from the topology, which a
-/// link failure does not change. The gate still runs unconditionally —
-/// reroute candidates may come from other sources (incremental table
-/// patches, operator overrides, bugs), and the static check costs
-/// microseconds next to the fabric quiesce it guards.
+/// The responder vets through [`vet::Vetter`], whose certificate-first
+/// structural gates must reach the same verdict (code and message) unless
+/// their explicit-CDG fallback exhausts its budget; this function is kept
+/// as that pipeline's differential oracle and has no production caller.
 ///
 /// # Errors
 ///
@@ -178,9 +187,23 @@ pub fn vet_reroute(
     candidate: &RouteTables,
     policy: ReplicatePolicy,
 ) -> Result<AnalysisStats, Box<ConfigReport>> {
+    use netsim::ids::NodeId;
     let mut report = ConfigReport::new();
-    check_live_switches(topo, candidate, &mut report);
-    check_full_reachability(topo, candidate, &mut report);
+    let routable = |sw| {
+        let t = candidate.table(sw);
+        (0..t.n_ports()).any(|p| !t.port(p).reach.is_empty())
+    };
+    check_live_switches(topo, routable, &mut report);
+    check_full_reachability(
+        topo,
+        routable,
+        |sw| {
+            (0..topo.n_hosts() as u32)
+                .filter(|&h| candidate.table(sw).try_route_unicast(NodeId(h)).is_none())
+                .collect()
+        },
+        &mut report,
+    );
     analyze_fabric(topo, candidate, policy, &mut report);
     if report.has_errors() {
         Err(Box::new(report))
@@ -190,70 +213,63 @@ pub fn vet_reroute(
 }
 
 /// Rejects candidate tables that strand a live switch: one with a host
-/// still attached but whose masked reach strings are empty on *every*
-/// port. Such a table set induces no channels at that switch, so the
-/// channel-dependency graph is vacuously acyclic and the CDG pass alone
-/// would wave the candidate through — yet the attached host's first
-/// injected worm has nowhere to route and wedges the input forever.
-fn check_live_switches(topo: &Topology, candidate: &RouteTables, report: &mut ConfigReport) {
-    use mintopo::topology::Attach;
-    use netsim::ids::SwitchId;
+/// still attached but no port with a non-empty reach string
+/// (`routable(sw)` is `false`). Such a table set induces no channels at
+/// that switch, so the channel-dependency graph is vacuously acyclic and
+/// the CDG pass alone would wave the candidate through — yet the attached
+/// host's first injected worm has nowhere to route and wedges the input
+/// forever.
+pub(crate) fn check_live_switches(
+    topo: &Topology,
+    routable: impl Fn(SwitchId) -> bool,
+    report: &mut ConfigReport,
+) {
     for s in 0..topo.n_switches() {
-        let sw = SwitchId(s as u32);
+        let sw = SwitchId::from(s);
         let hosts: Vec<u32> = (0..topo.ports(sw))
             .filter_map(|p| match topo.attach(sw, p) {
                 Attach::Host(h) => Some(h.0),
                 _ => None,
             })
             .collect();
-        if hosts.is_empty() {
-            continue; // transit switch fully masked off — legitimately dark
+        if hosts.is_empty() || routable(sw) {
+            continue; // transit switch (legitimately dark when masked off), or live
         }
-        let table = candidate.table(sw);
-        let routable = (0..table.n_ports()).any(|p| !table.port(p).reach.is_empty());
-        if !routable {
-            report.error(
-                "unreachable-switch",
-                format!(
-                    "switch {s} still has {} attached host(s) ({}) but every port's \
-                     reach string is empty — the CDG is vacuously acyclic there, yet \
-                     any worm injected at the switch can never be routed",
-                    hosts.len(),
-                    hosts
-                        .iter()
-                        .map(|h| format!("h{h}"))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                ),
-            );
-        }
+        report.error(
+            "unreachable-switch",
+            format!(
+                "switch {s} still has {} attached host(s) ({}) but every port's \
+                 reach string is empty — the CDG is vacuously acyclic there, yet \
+                 any worm injected at the switch can never be routed",
+                hosts.len(),
+                host_list(&hosts),
+            ),
+        );
     }
 }
 
-/// Rejects candidate tables that partition the fabric: a switch with
-/// hosts attached from which some destination cannot be reached on any
-/// surviving port. Such tables pass the CDG pass — fewer channels, still
-/// acyclic — yet a host can inject a worm to *any* destination, and the
-/// first one addressed to the cut-off host has no output port and wedges
-/// (or, for unicast, panics the router). Transit switches are exempt:
-/// masked reach strings already keep worms they cannot forward from ever
-/// being routed to them. The correct response to a partitioning mask is
-/// to stay on the old tables and degrade, so the gate must say no.
-fn check_full_reachability(topo: &Topology, candidate: &RouteTables, report: &mut ConfigReport) {
-    use mintopo::topology::Attach;
-    use netsim::ids::{NodeId, SwitchId};
+/// Rejects candidate tables that partition the fabric: a live switch
+/// with hosts attached that cannot route to the hosts `missing(sw)`
+/// lists. Such tables pass the CDG pass — fewer channels, still acyclic —
+/// yet a host can inject a worm to *any* destination, and the first one
+/// addressed to the cut-off host has no output port and wedges (or, for
+/// unicast, panics the router). Transit switches are exempt: masked
+/// reach strings already keep worms they cannot forward from ever being
+/// routed to them. The correct response to a partitioning mask is to stay
+/// on the old tables and degrade, so the gate must say no.
+pub(crate) fn check_full_reachability(
+    topo: &Topology,
+    routable: impl Fn(SwitchId) -> bool,
+    missing: impl Fn(SwitchId) -> Vec<u32>,
+    report: &mut ConfigReport,
+) {
     for s in 0..topo.n_switches() {
-        let sw = SwitchId(s as u32);
-        let table = candidate.table(sw);
+        let sw = SwitchId::from(s);
         let has_hosts = (0..topo.ports(sw)).any(|p| matches!(topo.attach(sw, p), Attach::Host(_)));
-        let live = (0..table.n_ports()).any(|p| !table.port(p).reach.is_empty());
-        if !has_hosts || !live {
+        if !has_hosts || !routable(sw) {
             continue; // transit switch, or fully dark: check_live_switches owns the latter
         }
-        let missing: Vec<String> = (0..topo.n_hosts())
-            .filter(|&h| table.try_route_unicast(NodeId(h as u32)).is_none())
-            .map(|h| format!("h{h}"))
-            .collect();
+        let missing = missing(sw);
         if !missing.is_empty() {
             report.error(
                 "unreachable-destination",
@@ -262,11 +278,20 @@ fn check_full_reachability(topo: &Topology, candidate: &RouteTables, report: &mu
                      tables — the masked fabric is partitioned; the first worm \
                      addressed there would have no output port",
                     missing.len(),
-                    missing.join(","),
+                    host_list(&missing),
                 ),
             );
         }
     }
+}
+
+/// `h0,h3,...` — hosts as named in diagnostics.
+fn host_list(hosts: &[u32]) -> String {
+    hosts
+        .iter()
+        .map(|h| format!("h{h}"))
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 #[cfg(test)]
@@ -354,32 +379,29 @@ mod tests {
         );
     }
 
-    #[test]
-    fn cyclic_reroute_candidate_is_rejected() {
+    /// Two switches at the same depth, cross-connected, one host each,
+    /// and a pathological candidate: *both* tables classify the shared
+    /// cable as Down with full reach — the "each side believes the other
+    /// is deeper" bug an incremental reroute patch could introduce. A
+    /// worm held on s0.out0 can extend onto s1.out0 and vice versa: a
+    /// 2-cycle.
+    pub(crate) fn crossed_down() -> (Topology, RouteTables) {
         use mintopo::reach::{PortClass, PortInfo};
         use mintopo::route::SwitchTable;
         use netsim::destset::DestSet;
 
-        // Two switches at the same depth, cross-connected, one host each.
         let mut b = TopologyBuilder::new(2);
         let a = b.add_switch(2, 1);
         let c = b.add_switch(2, 1);
         b.attach_host(NodeId(0), a, 1);
         b.attach_host(NodeId(1), c, 1);
         b.connect(a, 0, c, 0);
-        let topo = b.build();
-
-        // Pathological candidate: *both* tables classify the shared cable
-        // as Down with full reach — the "each side believes the other is
-        // deeper" bug an incremental reroute patch could introduce. A worm
-        // held on a.out0 can extend onto c.out0 and vice versa: a 2-cycle.
-        let full = DestSet::full(2);
         let mk = |own: u32| {
             SwitchTable::from_ports(
                 vec![
                     PortInfo {
                         class: PortClass::Down,
-                        reach: full.clone(),
+                        reach: DestSet::full(2),
                     },
                     PortInfo {
                         class: PortClass::Down,
@@ -389,8 +411,12 @@ mod tests {
                 2,
             )
         };
-        let candidate = RouteTables::from_tables(vec![mk(0), mk(1)], 2);
+        (b.build(), RouteTables::from_tables(vec![mk(0), mk(1)], 2))
+    }
 
+    #[test]
+    fn cyclic_reroute_candidate_is_rejected() {
+        let (topo, candidate) = crossed_down();
         let report = vet_reroute(&topo, &candidate, ReplicatePolicy::ReturnOnly)
             .expect_err("crossed-down candidate must be rejected");
         assert!(

@@ -5,22 +5,15 @@
 //! runs deterministic. A resident control plane, however, budgets its
 //! detect→vet→install pipeline in *wall* time: a vet that takes tens of
 //! milliseconds on a big topology eats directly into the service's
-//! latency budget. This module times the vet entry points and provides
-//! the percentile accumulator ([`Samples`]) that `mdw-routed` uses for
-//! its p50/p99 service metrics — for wall-clock nanoseconds here and for
-//! cycle-domain detect→install latencies in `core`.
+//! latency budget. The [`crate::vet::Vetter`] records its gates' wall
+//! time into a [`VetStats`]; [`Samples`] is the percentile accumulator
+//! behind it and behind `mdw-routed`'s p50/p99 service metrics — for
+//! wall-clock nanoseconds here and for cycle-domain detect→install
+//! latencies in `core`.
 //!
 //! Timing is *observability only*: durations are recorded beside the
 //! verdicts, never branched on, so identical runs still produce
 //! bit-identical simulation results.
-
-use crate::certify::{vet_reroute_certified, Certificate};
-use crate::model::{check_model, check_model_opts, CheckOutcome, ModelBounds, ModelOptions};
-use crate::report::{AnalysisStats, ConfigReport};
-use crate::{checks::ArchClass, vet_reroute};
-use mintopo::route::{ReplicatePolicy, RouteTables};
-use mintopo::topology::Topology;
-use std::time::{Duration, Instant};
 
 /// An accumulator of `u64` latency samples with nearest-rank percentile
 /// extraction. Unit-agnostic: the vet path records wall-clock
@@ -131,104 +124,17 @@ impl Samples {
     }
 }
 
-/// Wall-clock totals of the two vet halves across a responder's lifetime.
+/// Wall-clock totals of the two vet halves across a
+/// [`crate::vet::Vetter`]'s lifetime.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct VetStats {
-    /// Per-invocation durations of the structural vet
-    /// ([`vet_reroute`]), in nanoseconds.
+    /// Durations of the structural gates (liveness, reachability,
+    /// certificate or explicit CDG, round-trip lint), one sample per memo
+    /// miss, in nanoseconds.
     pub structural_ns: Samples,
-    /// Per-invocation durations of the behavioral vet
-    /// ([`check_model`]), in nanoseconds. With memoization this
-    /// typically holds exactly one sample per run.
+    /// Duration of the bounded model check, in nanoseconds: at most one
+    /// sample, since its verdict never depends on the candidate.
     pub model_ns: Samples,
-}
-
-impl VetStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        VetStats::default()
-    }
-
-    /// Total wall time spent in both vet halves.
-    pub fn total(&self) -> Duration {
-        Duration::from_nanos(self.structural_ns.total() + self.model_ns.total())
-    }
-}
-
-/// Runs [`vet_reroute`] under a timer, recording the duration into
-/// `stats` and returning the untouched verdict.
-///
-/// # Errors
-///
-/// Exactly as [`vet_reroute`]: the full report when any error-severity
-/// finding exists.
-pub fn vet_reroute_timed(
-    topo: &Topology,
-    candidate: &RouteTables,
-    policy: ReplicatePolicy,
-    stats: &mut VetStats,
-) -> Result<AnalysisStats, Box<ConfigReport>> {
-    let start = Instant::now();
-    let verdict = vet_reroute(topo, candidate, policy);
-    stats
-        .structural_ns
-        .record(start.elapsed().as_nanos() as u64);
-    verdict
-}
-
-/// Runs [`vet_reroute_certified`] under a timer, recording the duration
-/// into the same `structural_ns` accumulator as [`vet_reroute_timed`] —
-/// the certified gate is a drop-in replacement for the structural vet,
-/// so its latencies land in the same service metric.
-///
-/// # Errors
-///
-/// Exactly as [`vet_reroute_certified`]: the full report when any
-/// error-severity finding exists.
-pub fn vet_reroute_certified_timed(
-    topo: &Topology,
-    candidate: &RouteTables,
-    policy: ReplicatePolicy,
-    cert: &Certificate,
-    stats: &mut VetStats,
-) -> Result<AnalysisStats, Box<ConfigReport>> {
-    let start = Instant::now();
-    let verdict = vet_reroute_certified(topo, candidate, policy, cert);
-    stats
-        .structural_ns
-        .record(start.elapsed().as_nanos() as u64);
-    verdict
-}
-
-/// Runs [`check_model`] under a timer, recording the duration into
-/// `stats` and returning the untouched outcome.
-pub fn check_model_timed(
-    arch: ArchClass,
-    sync_replication: bool,
-    policy: ReplicatePolicy,
-    bounds: &ModelBounds,
-    stats: &mut VetStats,
-) -> CheckOutcome {
-    let start = Instant::now();
-    let outcome = check_model(arch, sync_replication, policy, bounds);
-    stats.model_ns.record(start.elapsed().as_nanos() as u64);
-    outcome
-}
-
-/// Runs [`check_model_opts`] under a timer, recording the duration into
-/// `stats` and returning the untouched outcome.
-pub fn check_model_opts_timed(
-    arch: ArchClass,
-    sync_replication: bool,
-    policy: ReplicatePolicy,
-    bounds: &ModelBounds,
-    opts: &ModelOptions,
-    stats: &mut VetStats,
-) -> CheckOutcome {
-    let start = Instant::now();
-    let outcome = check_model_opts(arch, sync_replication, policy, bounds, opts);
-    stats.model_ns.record(start.elapsed().as_nanos() as u64);
-    outcome
 }
 
 #[cfg(test)]
@@ -297,36 +203,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.total(), 6);
-    }
-
-    #[test]
-    fn timed_vet_records_a_sample_per_call() {
-        use mintopo::topology::TopologyBuilder;
-        use netsim::ids::NodeId;
-
-        let mut b = TopologyBuilder::new(2);
-        let s0 = b.add_switch(3, 1);
-        let s1 = b.add_switch(1, 0);
-        b.attach_host(NodeId(0), s0, 0);
-        b.attach_host(NodeId(1), s0, 1);
-        b.connect(s0, 2, s1, 0);
-        let topo = b.build();
-        let tables = RouteTables::build(&topo);
-
-        let mut stats = VetStats::new();
-        let verdict = vet_reroute_timed(&topo, &tables, ReplicatePolicy::ReturnOnly, &mut stats);
-        assert!(verdict.is_ok());
-        assert_eq!(stats.structural_ns.count(), 1);
-        assert_eq!(stats.model_ns.count(), 0);
-
-        let outcome = check_model_timed(
-            ArchClass::CentralBuffer,
-            false,
-            ReplicatePolicy::ReturnOnly,
-            &ModelBounds::default(),
-            &mut stats,
-        );
-        assert!(matches!(outcome, CheckOutcome::Verified(_)));
-        assert_eq!(stats.model_ns.count(), 1);
     }
 }

@@ -82,7 +82,8 @@ fn bench(c: &mut Criterion) {
     // The §14 scale tiers: fabrics the unreduced oracle cannot finish
     // inside the 50k-state budget. Symmetry + POR (exact) and the
     // compositional per-switch decomposition both must stay sub-second
-    // here for the reroute deep vet to hold its latency budget.
+    // here for the reroute vet's model-check gate to hold its latency
+    // budget.
     for switches in [8usize, 16] {
         let bounds = ModelBounds {
             max_switches: switches,

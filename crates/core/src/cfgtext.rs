@@ -199,13 +199,6 @@ pub fn parse_config(text: &str) -> Result<SystemConfig, String> {
             "certify.cdg_budget" | "certify_cdg_budget" => {
                 cfg.certify.cdg_budget = parse_usize(key)?
             }
-            // LRU capacity of the fault responder's vet memos; setting it
-            // implies `response = on`.
-            "response.memo_cap" | "response_memo_cap" => {
-                cfg.response
-                    .get_or_insert_with(ResponseConfig::default)
-                    .memo_cap = parse_usize(key)?
-            }
             // Resident control plane (`mdw-routed`) storm hardening.
             "routed" => match value {
                 "on" | "true" => {
@@ -509,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn certify_and_memo_keys_parse_both_spellings() {
+    fn certify_keys_parse_both_spellings() {
         let cfg = parse_config("").expect("parses");
         assert!(!cfg.certify.enabled);
         assert_eq!(cfg.certify.cdg_budget, 100_000);
@@ -540,20 +533,9 @@ mod tests {
         let err = parse_config("certify.cdg_budget = many").unwrap_err();
         assert!(err.contains("certify.cdg_budget"), "{err}");
 
-        // Memo-cap keys materialize the response block like the journal
-        // keys do.
-        let cfg = parse_config("response.memo_cap = 64").expect("parses");
-        assert_eq!(
-            cfg.response.as_ref().expect("implies response").memo_cap,
-            64
-        );
-        let cfg = parse_config("response_memo_cap = 16").expect("parses");
-        assert_eq!(
-            cfg.response.as_ref().expect("implies response").memo_cap,
-            16
-        );
-        let err = parse_config("response.memo_cap = many").unwrap_err();
-        assert!(err.contains("response.memo_cap"), "{err}");
+        // The vet memo's capacity is a constant, not a key.
+        let err = parse_config("response.memo_cap = 64").unwrap_err();
+        assert!(err.contains("unknown key"), "{err}");
     }
 
     #[test]

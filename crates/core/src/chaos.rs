@@ -156,15 +156,14 @@ pub fn run_crash_sweep(
         "crash sweep needs a responder (config.response)"
     );
     // Memo hit/miss counters are process-local observability, not durable
-    // state: journal replay re-inserts vet verdicts without looking them
-    // up, so a crashed-and-recovered run reaches the same durable state
-    // through a different lookup sequence. They are cleared before the
-    // byte comparison (recovery wall-times are likewise excluded);
-    // everything else must match exactly.
+    // state: a recovered responder starts with an empty vet memo, so a
+    // crashed-and-recovered run reaches the same durable state through a
+    // different lookup sequence. They are cleared before the byte
+    // comparison (recovery wall-times are likewise excluded); everything
+    // else must match exactly.
     fn comparable(outcome: &RunOutcome) -> RunOutcome {
         RunOutcome {
             vet_memo: Default::default(),
-            deep_memo: Default::default(),
             ..outcome.clone()
         }
     }

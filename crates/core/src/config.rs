@@ -12,10 +12,13 @@ use crate::respond::ResponseConfig;
 use collectives::RecoveryConfig;
 use mdw_analysis::{
     analyze_fabric, analyze_fabric_budgeted, certify_fabric, switch_sizing, ArchClass, Certificate,
-    CompactTables, ConfigReport, ModelMode,
+    CompactTables, ConfigReport, ModelMode, Vetter,
 };
+use mintopo::karytree::KaryTree;
 use mintopo::route::RouteTables;
-use switches::{ConfigError, SwitchConfig};
+use mintopo::topology::Topology;
+use std::rc::Rc;
+use switches::{ConfigError, ReplicationMode, SwitchConfig};
 
 /// Which network to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,6 +112,14 @@ impl SwitchArch {
             SwitchArch::InputBuffered => "IB",
         }
     }
+
+    /// The analyzer's architecture class.
+    pub fn class(self) -> ArchClass {
+        match self {
+            SwitchArch::CentralBuffer => ArchClass::CentralBuffer,
+            SwitchArch::InputBuffered => ArchClass::InputBuffered,
+        }
+    }
 }
 
 /// Certificate-based deadlock-freedom checking (DESIGN.md §16).
@@ -168,6 +179,15 @@ pub struct CertifyComparison {
     /// The verdicts agree wherever both were reached (vacuously true when
     /// the explicit pass exhausted its budget).
     pub agree: bool,
+}
+
+/// The deadlock certificate of a built fabric: the closed-form k-ary
+/// rule on k-ary trees, the explicit `(depth, id)` order otherwise.
+fn certificate_of(topology: &Topology, tree: Option<&KaryTree>) -> Certificate {
+    match tree {
+        Some(t) => Certificate::for_karytree(t),
+        None => Certificate::for_topology(topology),
+    }
 }
 
 /// Complete system description.
@@ -279,11 +299,7 @@ impl SystemConfig {
     /// with broken sizing would only bury the root cause).
     pub fn report(&self) -> ConfigReport {
         let mut report = ConfigReport::new();
-        let arch_class = match self.arch {
-            SwitchArch::CentralBuffer => ArchClass::CentralBuffer,
-            SwitchArch::InputBuffered => ArchClass::InputBuffered,
-        };
-        switch_sizing(&self.effective_switch(), arch_class, &mut report);
+        switch_sizing(&self.effective_switch(), self.arch.class(), &mut report);
 
         if self.mcast == McastImpl::HwMultiport
             && !matches!(self.topology, TopologyKind::KaryTree { .. })
@@ -446,10 +462,7 @@ impl SystemConfig {
                     self.certify.cdg_budget,
                     &mut report,
                 );
-                let cert = match &tree {
-                    Some(t) => Certificate::for_karytree(t),
-                    None => Certificate::for_topology(&topology),
-                };
+                let cert = certificate_of(&topology, tree.as_deref());
                 let compact = CompactTables::from_dense(&tables);
                 if completed {
                     // The explicit verdict stands; the certificate must
@@ -503,10 +516,7 @@ impl SystemConfig {
     pub fn certify_comparison(&self) -> CertifyComparison {
         let (topology, tree) = crate::build::build_topology(self.topology);
         let tables = RouteTables::build(&topology);
-        let cert = match &tree {
-            Some(t) => Certificate::for_karytree(t),
-            None => Certificate::for_topology(&topology),
-        };
+        let cert = certificate_of(&topology, tree.as_deref());
 
         let t0 = std::time::Instant::now();
         let compact = CompactTables::from_dense(&tables);
@@ -543,6 +553,22 @@ impl SystemConfig {
             explicit_secs,
             agree: !explicit_completed || certify_ok == explicit_ok,
         }
+    }
+
+    /// The reroute admission gate a fault responder runs over candidate
+    /// tables for this configuration's built fabric `topology`
+    /// (DESIGN.md §10): the switch policy, `certify.cdg_budget` for the
+    /// explicit CDG fallback, and the model check of this architecture,
+    /// replication mode and `model.mode`.
+    pub fn vetter(&self, topology: Rc<Topology>) -> Vetter {
+        Vetter::new(
+            topology,
+            self.switch.policy,
+            self.certify.cdg_budget,
+            self.arch.class(),
+            self.switch.replication == ReplicationMode::Synchronous,
+            self.model_mode,
+        )
     }
 
     /// Validates cross-cutting constraints, returning a descriptive

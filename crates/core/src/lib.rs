@@ -61,8 +61,8 @@ pub use config::{
     CertifyComparison, CertifyConfig, McastImpl, SwitchArch, SystemConfig, TopologyKind,
 };
 pub use forensics::{capture_deadlock_report, DeadlockReport};
-pub use mdw_analysis::{ConfigReport, Diagnostic, Severity};
-pub use respond::{FaultResponder, MemoStats, ResponseConfig, ResponseCounters, ResponseEvent};
+pub use mdw_analysis::{ConfigReport, Diagnostic, MemoStats, Severity};
+pub use respond::{FaultResponder, ResponseConfig, ResponseCounters, ResponseEvent};
 pub use routed::{RoutedConfig, RoutedService, StormResponder};
 pub use sim::{run_experiment, RunConfig, RunOutcome};
 pub use sweep::{parallel_map, run_sweep, SweepJob};

@@ -18,16 +18,16 @@
 //! 3. **reroute** — new LCA tables are derived with the dead ports masked
 //!    ([`mintopo::route::RouteTables::build_masked`]) and **prepared**
 //!    under a fresh epoch on every switch (two-phase: staged, inactive).
-//!    The candidate is vetted in two halves: structurally by the static
-//!    deadlock analyzer ([`mdw_analysis::vet_reroute`] — memoized per
-//!    *(epoch, masked-port set)*, so an identical dead set re-vetted
-//!    under a new epoch never reuses a stale verdict) and behaviorally by
-//!    the bounded model checker ([`mdw_analysis::check_model_opts`],
-//!    memoized per ([`ModelBounds`], [`mdw_analysis::ModelOptions`])
-//!    pair). A passing candidate is **committed** — armed on every
-//!    switch, each swapping it in on its first empty tick and stamping
-//!    the epoch; a failing candidate is **aborted** and the fabric stays
-//!    on the old tables, degraded rather than deadlocked;
+//!    The candidate is vetted by the responder's one [`Vetter`], whose
+//!    gates run in order: liveness and reachability; the rank
+//!    certificate, with the budgeted explicit CDG deciding whenever the
+//!    certificate is inconclusive; the header round-trip lint; and the
+//!    bounded model check, run once per responder. Verdicts are memoized
+//!    by dead-port set, which fixes the candidate. A passing candidate is
+//!    **committed** — armed on every switch, each swapping it in on its
+//!    first empty tick and stamping the epoch; a failing candidate is
+//!    **aborted** and the fabric stays on the old tables, degraded rather
+//!    than deadlocked;
 //! 4. **degrade** — while masked tables are active, each hardware
 //!    multicast is split into the worm-coverable part and a peeled
 //!    remainder served by binomial-tree unicast
@@ -69,15 +69,11 @@
 
 use crate::build::System;
 use crate::chaos::{ChaosHandle, ChaosMode, Crashed};
-use crate::config::{SwitchArch, SystemConfig};
 use crate::journal::{
     EpisodeOutcome, Journal, JournalConfig, JournalRecord, JournalStore, ResponderSnapshot,
 };
 use collectives::DegradePlanner;
-use mdw_analysis::{
-    check_model_opts_timed, vet_reroute_certified_timed, vet_reroute_timed, ArchClass, Certificate,
-    CheckOutcome, ModelBounds, ModelOptions, Samples, VetStats,
-};
+use mdw_analysis::{MemoStats, Samples, VetStats, Vetter};
 use mintopo::route::RouteTables;
 use mintopo::topology::Topology;
 use netsim::health::FabricHealth;
@@ -85,9 +81,14 @@ use netsim::ids::{LinkId, SwitchId};
 use netsim::Cycle;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
-use switches::ReplicationMode;
 
-/// Tuning knobs of the online fault-response protocol.
+/// Tuning knobs of the online fault-response protocol. The reroute vet
+/// has none here: its gates come from the [`SystemConfig`] the
+/// responder's [`Vetter`] is built from (`certify.cdg_budget`,
+/// `model.mode`, architecture and replication), and its memo capacity is
+/// the constant [`mdw_analysis::vet::MEMO_CAP`].
+///
+/// [`SystemConfig`]: crate::config::SystemConfig
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResponseConfig {
     /// Cycles a link must hold a new state before the transition is
@@ -112,13 +113,6 @@ pub struct ResponseConfig {
     /// `journal.snapshot_every`); each snapshot compacts the journal, so
     /// this bounds both replay time and journal memory.
     pub snapshot_every: u64,
-    /// LRU capacity of the structural-vet and deep-vet memos (config key
-    /// `response.memo_cap`, floor 1). A responder embedded in a
-    /// long-running service sees an unbounded stream of (epoch, dead-set)
-    /// keys; the cap keeps both memos at steady-state memory, with
-    /// hit/miss/eviction counters surfaced in
-    /// [`crate::sim::RunOutcome::vet_memo`].
-    pub memo_cap: usize,
 }
 
 impl Default for ResponseConfig {
@@ -131,7 +125,6 @@ impl Default for ResponseConfig {
             event_log_cap: 1024,
             latency_cap: 4096,
             snapshot_every: 256,
-            memo_cap: 512,
         }
     }
 }
@@ -332,107 +325,6 @@ pub(crate) struct Episode {
     masked: Vec<(SwitchId, usize)>,
 }
 
-/// Activity counters of a [`BoundedMemo`], surfaced per run in
-/// [`crate::sim::RunOutcome`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Lookups answered from the memo.
-    pub hits: u64,
-    /// Lookups that missed and forced a fresh computation.
-    pub misses: u64,
-    /// Entries evicted to stay within the LRU capacity.
-    pub evictions: u64,
-    /// Entries currently held.
-    pub entries: usize,
-}
-
-/// An LRU-bounded memo: at most `cap` entries are retained, each insert
-/// past capacity evicting the least-recently-used key (and counting it),
-/// so a responder embedded in a long-running service holds steady-state
-/// memory — the memo analog of the bounded [`EventLog`] ring.
-#[derive(Debug)]
-struct BoundedMemo<K, V> {
-    cap: usize,
-    map: HashMap<K, V>,
-    /// Keys from least- to most-recently used.
-    order: VecDeque<K>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl<K: std::hash::Hash + Eq + Clone, V> BoundedMemo<K, V> {
-    /// An empty memo holding at most `cap` entries (floor 1).
-    fn new(cap: usize) -> Self {
-        BoundedMemo {
-            cap: cap.max(1),
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Looks `key` up, counting the hit or miss and refreshing the
-    /// entry's recency on a hit.
-    fn get(&mut self, key: &K) -> Option<&V> {
-        if self.map.contains_key(key) {
-            self.hits += 1;
-            self.touch(key);
-            self.map.get(key)
-        } else {
-            self.misses += 1;
-            None
-        }
-    }
-
-    /// Inserts (or refreshes) an entry, evicting the least-recently-used
-    /// one if the memo is at capacity.
-    fn insert(&mut self, key: K, value: V) {
-        if self.map.insert(key.clone(), value).is_some() {
-            self.touch(&key);
-            return;
-        }
-        self.order.push_back(key);
-        if self.map.len() > self.cap {
-            let lru = self.order.pop_front().expect("order tracks map");
-            self.map.remove(&lru);
-            self.evictions += 1;
-        }
-    }
-
-    /// Moves `key` to the most-recently-used position.
-    fn touch(&mut self, key: &K) {
-        if let Some(pos) = self.order.iter().position(|k| k == key) {
-            let k = self.order.remove(pos).expect("position is in range");
-            self.order.push_back(k);
-        }
-    }
-
-    /// Entries currently held.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Snapshot of the activity counters.
-    fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            entries: self.map.len(),
-        }
-    }
-}
-
-/// Key of the epoch-scoped structural-vet memo: the candidate epoch plus
-/// the masked-port set it covers.
-type VetKey = (u64, Vec<(SwitchId, usize)>);
-/// A structural-vet verdict: `Err((code, message))` on rejection.
-type VetVerdict = Result<(), (String, String)>;
-
 /// The fault-response orchestrator. Owns the debounced health view, the
 /// write-ahead journal, and drives the gate/purge/two-phase-install
 /// protocol against a [`System`].
@@ -458,8 +350,6 @@ pub struct FaultResponder {
     /// re-run the response after a backoff even though nothing changed.
     /// Deliberately not journaled — see the module docs.
     retry_requested: bool,
-    /// Wall-clock accounting of the two vet halves.
-    vet_stats: VetStats,
     /// Detect→install (or detect→reject) latency of each completed
     /// response episode, in cycles (bounded ring, drops counted).
     latency: Samples,
@@ -467,30 +357,9 @@ pub struct FaultResponder {
     journal: Journal,
     /// Highest epoch allocated so far (0 = none; build-time tables).
     last_epoch: u64,
-    /// Structural-vet verdicts keyed by *(epoch, masked-port set)*,
-    /// LRU-bounded at `cfg.memo_cap`. The epoch in the key is what makes
-    /// recovery safe: a re-driven episode reuses its own journaled
-    /// verdict, while the same dead set vetted again under a fresh epoch
-    /// (a storm-controller retry) always runs a fresh vet instead of
-    /// serving a stale answer.
-    vetted: BoundedMemo<VetKey, VetVerdict>,
-    /// Cached verdicts of the bounded model check (the deep half of the
-    /// reroute gate), keyed by the exploration bounds and reduction
-    /// options the check actually ran under and LRU-bounded at
-    /// `cfg.memo_cap`. The verdict never depends on the candidate tables,
-    /// so one exploration per key covers every reroute of the run — but a
-    /// verdict obtained under loose bounds (small fabric, shallow state
-    /// cap) says nothing about a stricter vet, so differently-bounded
-    /// requests get their own entry instead of silently reusing a weaker
-    /// answer.
-    deep_vetted: BoundedMemo<(ModelBounds, ModelOptions), Result<(), String>>,
-    /// Rank certificate of the live topology, present when
-    /// `certify.enabled`: the structural vet then runs the O(routes)
-    /// certificate gate ([`mdw_analysis::vet_reroute_certified`]) over
-    /// the compressed encoding instead of the explicit CDG analyzer —
-    /// same verdicts (differential tier enforced), sub-second at fabric
-    /// sizes where CDG enumeration exhausts its budget.
-    certificate: Option<Certificate>,
+    /// The reroute admission gate, with its verdict memo and vet
+    /// timings.
+    vetter: Vetter,
     /// Crash-injection harness hook; `None` outside chaos runs.
     chaos: Option<ChaosHandle>,
     /// Completed crash recoveries (journal replays).
@@ -527,12 +396,7 @@ impl FaultResponder {
         let health = FabricHealth::new(cfg.debounce);
         let events = EventLog::new(cfg.event_log_cap);
         let latency = Samples::with_cap(cfg.latency_cap);
-        let memo_cap = cfg.memo_cap;
-        let certificate = sys
-            .config
-            .certify
-            .enabled
-            .then(|| Certificate::for_topology(&sys.topology));
+        let vetter = sys.config.vetter(sys.topology.clone());
         FaultResponder {
             cfg,
             health,
@@ -544,13 +408,10 @@ impl FaultResponder {
             suppressed: Vec::new(),
             fresh_confirmed: Vec::new(),
             retry_requested: false,
-            vet_stats: VetStats::new(),
             latency,
             journal,
             last_epoch: 0,
-            vetted: BoundedMemo::new(memo_cap),
-            deep_vetted: BoundedMemo::new(memo_cap),
-            certificate,
+            vetter,
             chaos: None,
             recoveries: 0,
             recovery_ns: Samples::new(),
@@ -668,11 +529,8 @@ impl FaultResponder {
                 ep.masked = masked;
                 ep.stage = Stage::Prepared;
             }
-            JournalRecord::Vetted { epoch, verdict } => {
-                let ep = stage_of(episode);
-                self.vetted
-                    .insert((epoch, ep.masked.clone()), verdict.clone());
-                ep.stage = Stage::Vetted(verdict);
+            JournalRecord::Vetted { verdict, .. } => {
+                stage_of(episode).stage = Stage::Vetted(verdict);
             }
             JournalRecord::Committed { .. } => stage_of(episode).stage = Stage::Committing,
             JournalRecord::Aborted {
@@ -763,100 +621,12 @@ impl FaultResponder {
         }
     }
 
-    /// Runs (once per distinct bounds/options pair) the `mdw-model`
-    /// bounded model check of the configured architecture and replication
-    /// mode, caching the verdict under the exact
-    /// ([`ModelBounds`], [`ModelOptions`]) key it ran with. The
-    /// fabric-size bound scales with the live topology (`n_switches`,
-    /// clamped to the checker's scenario range) and the
-    /// exact/compositional mode comes from the configuration, so growing
-    /// the fabric or switching modes re-vets instead of replaying a
-    /// verdict from a weaker exploration. A reroute may only activate
-    /// when both the candidate's channel-dependency graph (structural)
-    /// and the switch state machines (behavioral) are deadlock-free.
-    fn deep_vet(&mut self, config: &SystemConfig, n_switches: usize) -> Result<(), String> {
-        let bounds = ModelBounds {
-            max_switches: n_switches.clamp(2, 16),
-            ..ModelBounds::default()
-        };
-        let opts = ModelOptions {
-            mode: config.model_mode,
-            ..ModelOptions::default()
-        };
-        let key = (bounds, opts);
-        if let Some(v) = self.deep_vetted.get(&key) {
-            return v.clone();
-        }
-        let arch = match config.arch {
-            SwitchArch::CentralBuffer => ArchClass::CentralBuffer,
-            SwitchArch::InputBuffered => ArchClass::InputBuffered,
-        };
-        let sync = config.switch.replication == ReplicationMode::Synchronous;
-        let outcome = check_model_opts_timed(
-            arch,
-            sync,
-            config.switch.policy,
-            &key.0,
-            &key.1,
-            &mut self.vet_stats,
-        );
-        let verdict = match outcome {
-            CheckOutcome::Verified(_) => Ok(()),
-            CheckOutcome::Violated(v) => Err(format!(
-                "bounded model check found a {} in scenario '{}': {}",
-                v.kind, v.scenario, v.detail
-            )),
-        };
-        self.deep_vetted.insert(key, verdict.clone());
-        verdict
-    }
-
-    /// The full candidate vet — structural analyzer plus behavioral model
-    /// check — memoized by *(epoch, masked-port set)*. A hit means this
-    /// exact candidate under this exact epoch was already vetted (an
-    /// episode re-drive after a crash); the same dead set under a *new*
-    /// epoch misses and re-vets, so no stale verdict is ever served.
-    fn vet_candidate(
-        &mut self,
-        topo: &Topology,
-        config: &SystemConfig,
-        candidate: &RouteTables,
-        epoch: u64,
-        masked: &[(SwitchId, usize)],
-    ) -> Result<(), (String, String)> {
-        let key = (epoch, masked.to_vec());
-        if let Some(v) = self.vetted.get(&key) {
-            return v.clone();
-        }
-        // Certificate present (certify.enabled): the O(routes) certified
-        // gate replaces the explicit CDG analyzer; identical verdicts,
-        // sub-second at fabric sizes the explicit pass cannot afford.
-        let structural = match &self.certificate {
-            Some(cert) => vet_reroute_certified_timed(
-                topo,
-                candidate,
-                config.switch.policy,
-                cert,
-                &mut self.vet_stats,
-            ),
-            None => vet_reroute_timed(topo, candidate, config.switch.policy, &mut self.vet_stats),
-        };
-        let verdict = structural
-            .map_err(|report| {
-                let d = report.first_error().expect("vet failed with no error");
-                (d.code.to_string(), d.message.clone())
-            })
-            .and_then(|_| {
-                self.deep_vet(config, topo.n_switches())
-                    .map_err(|detail| ("model-check".to_string(), detail))
-            });
-        self.vetted.insert(key, verdict.clone());
-        verdict
-    }
-
     /// Substitutes the candidate-table builder (rejection-path tests).
+    /// Clears the vet memo: its verdicts were reached on the old
+    /// builder's candidates.
     pub fn set_candidate_builder(&mut self, builder: CandidateBuilder) {
         self.builder = Some(builder);
+        self.vetter.clear_memo();
     }
 
     /// The bounded event log (most recent `event_log_cap` entries, in
@@ -870,15 +640,10 @@ impl FaultResponder {
         self.counters
     }
 
-    /// Activity counters of the structural-vet memo (LRU-bounded at
-    /// `memo_cap`).
+    /// Activity counters of the vet memo (LRU-bounded at
+    /// [`mdw_analysis::vet::MEMO_CAP`]).
     pub fn vet_memo_stats(&self) -> MemoStats {
-        self.vetted.stats()
-    }
-
-    /// Activity counters of the deep-vet (model-check) memo.
-    pub fn deep_memo_stats(&self) -> MemoStats {
-        self.deep_vetted.stats()
+        self.vetter.memo_stats()
     }
 
     /// Directed fabric ports currently masked out of the active tables.
@@ -888,7 +653,7 @@ impl FaultResponder {
 
     /// Wall-clock accounting of the structural and behavioral vet halves.
     pub fn vet_stats(&self) -> &VetStats {
-        &self.vet_stats
+        self.vetter.stats()
     }
 
     /// Detect→install (or detect→reject) latency of every completed
@@ -985,12 +750,11 @@ impl FaultResponder {
     /// next [`poll`](Self::poll) re-runs the full response even though
     /// the dead-port set is unchanged. A storm controller uses this to
     /// retry after a vet rejection or an incomplete purge once its
-    /// backoff expires; clearing the memoized model-check verdicts is
-    /// deliberately *not* part of this — each cached verdict depends only
-    /// on the configuration and the bounds/options it was explored under,
-    /// never on fabric state. (The retry *will* re-run the structural
-    /// vet: it allocates a fresh epoch, and the structural memo is keyed
-    /// by epoch.)
+    /// backoff expires. The retry allocates a fresh epoch, but a retry of
+    /// the same dead set is answered from the vet memo: the builder is
+    /// deterministic, so the dead set fixes the candidate and the verdict
+    /// is a pure function of it — re-running the gates could only repeat
+    /// the answer.
     pub fn request_retry(&mut self) {
         self.retry_requested = true;
     }
@@ -1253,8 +1017,7 @@ impl FaultResponder {
             Stage::Aborting => Err((String::new(), String::new())), // effects already durable
             Stage::Vetted(v) => v.clone(),
             _ => {
-                let v =
-                    self.vet_candidate(&sys.topology, &sys.config, &tables, ep.epoch, &ep.masked);
+                let v = self.vetter.vet(&ep.masked, &tables);
                 self.journal.append(&JournalRecord::Vetted {
                     epoch: ep.epoch,
                     verdict: v.clone(),
@@ -1417,17 +1180,22 @@ mod tests {
         assert!(restored.iter().eq(log.iter()));
     }
 
-    /// A responder with no fabric attached — enough to exercise the
-    /// memoized vets, which never touch a live engine.
+    /// The binary 2-tree: four hosts, two leaves, two roots.
+    fn tiny() -> Topology {
+        mintopo::karytree::KaryTree::new(2, 2).topology().clone()
+    }
+
+    /// A responder with no engine attached, vetting candidates on
+    /// [`tiny`] — enough for state that never touches a live fabric.
     fn bare_responder() -> FaultResponder {
         let cfg = ResponseConfig::default();
-        let memo_cap = cfg.memo_cap;
         let events = EventLog::new(cfg.event_log_cap);
         let health = FabricHealth::new(cfg.debounce);
         let latency = Samples::with_cap(cfg.latency_cap);
         let journal = Journal::new(JournalConfig {
             snapshot_every: cfg.snapshot_every,
         });
+        let vetter = crate::config::SystemConfig::default().vetter(Rc::new(tiny()));
         FaultResponder {
             cfg,
             health,
@@ -1439,191 +1207,14 @@ mod tests {
             suppressed: Vec::new(),
             fresh_confirmed: Vec::new(),
             retry_requested: false,
-            vet_stats: VetStats::new(),
             latency,
             journal,
             last_epoch: 0,
-            vetted: BoundedMemo::new(memo_cap),
-            deep_vetted: BoundedMemo::new(memo_cap),
-            certificate: None,
+            vetter,
             chaos: None,
             recoveries: 0,
             recovery_ns: Samples::new(),
         }
-    }
-
-    #[test]
-    fn deep_vet_cache_is_keyed_by_bounds_and_options() {
-        let mut r = bare_responder();
-        let config = SystemConfig::default();
-
-        // First vet at a 2-switch fabric bound: one exploration, cached.
-        r.deep_vet(&config, 2).expect("defaults verify");
-        assert_eq!(r.deep_vetted.len(), 1);
-        assert_eq!(r.vet_stats.model_ns.count(), 1);
-
-        // Same fabric again: the cache answers, no new exploration.
-        r.deep_vet(&config, 2).expect("cached verdict");
-        assert_eq!(r.vet_stats.model_ns.count(), 1);
-
-        // A larger fabric is a *stricter* vet: the loose-bounds verdict
-        // must not be reused — a fresh exploration runs under its own key.
-        r.deep_vet(&config, 4).expect("quad fabric verifies");
-        assert_eq!(r.deep_vetted.len(), 2);
-        assert_eq!(r.vet_stats.model_ns.count(), 2);
-
-        // A different decomposition mode is likewise its own key.
-        let compositional = SystemConfig {
-            model_mode: mdw_analysis::ModelMode::Compositional,
-            ..SystemConfig::default()
-        };
-        r.deep_vet(&compositional, 4)
-            .expect("compositional verifies");
-        assert_eq!(r.deep_vetted.len(), 3);
-        assert_eq!(r.vet_stats.model_ns.count(), 3);
-
-        // The switch count saturates at the checker's scenario range, so
-        // production-size fabrics share one entry.
-        r.deep_vet(&config, 48).expect("clamped to 16 switches");
-        r.deep_vet(&config, 64).expect("same clamped key");
-        assert_eq!(r.deep_vetted.len(), 4);
-        assert_eq!(r.vet_stats.model_ns.count(), 4);
-    }
-
-    #[test]
-    fn structural_vet_memo_is_keyed_by_epoch() {
-        use mintopo::topology::TopologyBuilder;
-        use netsim::ids::NodeId;
-
-        let mut b = TopologyBuilder::new(2);
-        let s0 = b.add_switch(3, 1);
-        let s1 = b.add_switch(1, 0);
-        b.attach_host(NodeId(0), s0, 0);
-        b.attach_host(NodeId(1), s0, 1);
-        b.connect(s0, 2, s1, 0);
-        let topo = b.build();
-        let tables = RouteTables::build(&topo);
-        let config = SystemConfig::default();
-        let masked: Vec<(SwitchId, usize)> = Vec::new();
-
-        let mut r = bare_responder();
-        r.vet_candidate(&topo, &config, &tables, 1, &masked)
-            .expect("healthy tables vet");
-        let after_first = r.vet_stats.structural_ns.count();
-        assert_eq!(after_first, 1);
-
-        // Same epoch + same masked set (an episode re-drive): memo hit,
-        // no fresh analyzer run.
-        r.vet_candidate(&topo, &config, &tables, 1, &masked)
-            .expect("memoized verdict");
-        assert_eq!(r.vet_stats.structural_ns.count(), 1);
-
-        // The *same* dead set under a *new* epoch (a storm-controller
-        // retry) must re-vet — a stale verdict may not be served.
-        r.vet_candidate(&topo, &config, &tables, 2, &masked)
-            .expect("fresh vet under the new epoch");
-        assert_eq!(r.vet_stats.structural_ns.count(), 2);
-        assert_eq!(r.vetted.len(), 2, "one entry per (epoch, masked) key");
-    }
-
-    #[test]
-    fn bounded_memo_evicts_lru_and_counts() {
-        let mut m: BoundedMemo<u32, u32> = BoundedMemo::new(2);
-        m.insert(1, 10);
-        m.insert(2, 20);
-        assert_eq!(m.get(&1), Some(&10), "touch 1: 2 becomes the LRU");
-        m.insert(3, 30);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.get(&2), None, "2 was evicted, not 1");
-        assert_eq!(m.get(&1), Some(&10));
-        assert_eq!(m.get(&3), Some(&30));
-
-        let st = m.stats();
-        assert_eq!(st.hits, 3);
-        assert_eq!(st.misses, 1);
-        assert_eq!(st.evictions, 1);
-        assert_eq!(st.entries, 2);
-
-        // Re-inserting an existing key refreshes, never evicts.
-        m.insert(1, 11);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.stats().evictions, 1);
-        assert_eq!(m.get(&1), Some(&11));
-
-        // Capacity floor is 1, like the event log.
-        let mut tiny: BoundedMemo<u32, u32> = BoundedMemo::new(0);
-        tiny.insert(1, 1);
-        tiny.insert(2, 2);
-        assert_eq!(tiny.len(), 1);
-        assert_eq!(tiny.stats().evictions, 1);
-    }
-
-    #[test]
-    fn vet_memos_are_bounded_at_memo_cap() {
-        let mut r = bare_responder();
-        r.cfg.memo_cap = 2;
-        r.vetted = BoundedMemo::new(r.cfg.memo_cap);
-
-        use mintopo::topology::TopologyBuilder;
-        use netsim::ids::NodeId;
-        let mut b = TopologyBuilder::new(2);
-        let s0 = b.add_switch(3, 1);
-        let s1 = b.add_switch(1, 0);
-        b.attach_host(NodeId(0), s0, 0);
-        b.attach_host(NodeId(1), s0, 1);
-        b.connect(s0, 2, s1, 0);
-        let topo = b.build();
-        let tables = RouteTables::build(&topo);
-        let config = SystemConfig::default();
-        let masked: Vec<(SwitchId, usize)> = Vec::new();
-
-        // Three distinct epochs through a 2-entry memo: the first entry
-        // is evicted, the memo never grows past its cap.
-        for epoch in 1..=3 {
-            r.vet_candidate(&topo, &config, &tables, epoch, &masked)
-                .expect("healthy tables vet");
-        }
-        assert_eq!(r.vetted.len(), 2);
-        let st = r.vet_memo_stats();
-        assert_eq!(st.evictions, 1);
-        assert_eq!(st.misses, 3);
-        assert_eq!(st.entries, 2);
-
-        // Epoch 1 was the LRU: re-vetting it misses and re-runs the
-        // analyzer; epoch 3 still hits.
-        let before = r.vet_stats.structural_ns.count();
-        r.vet_candidate(&topo, &config, &tables, 3, &masked)
-            .expect("memo hit");
-        assert_eq!(r.vet_stats.structural_ns.count(), before);
-        r.vet_candidate(&topo, &config, &tables, 1, &masked)
-            .expect("fresh vet after eviction");
-        assert_eq!(r.vet_stats.structural_ns.count(), before + 1);
-        assert_eq!(r.vet_memo_stats().hits, 1);
-    }
-
-    #[test]
-    fn certified_responder_vet_agrees_with_explicit() {
-        use mintopo::topology::TopologyBuilder;
-        use netsim::ids::NodeId;
-        let mut b = TopologyBuilder::new(2);
-        let s0 = b.add_switch(3, 1);
-        let s1 = b.add_switch(1, 0);
-        b.attach_host(NodeId(0), s0, 0);
-        b.attach_host(NodeId(1), s0, 1);
-        b.connect(s0, 2, s1, 0);
-        let topo = b.build();
-        let tables = RouteTables::build(&topo);
-        let config = SystemConfig::default();
-        let masked: Vec<(SwitchId, usize)> = Vec::new();
-
-        let mut certified = bare_responder();
-        certified.certificate = Some(Certificate::for_topology(&topo));
-        let mut explicit = bare_responder();
-        let a = certified.vet_candidate(&topo, &config, &tables, 1, &masked);
-        let b = explicit.vet_candidate(&topo, &config, &tables, 1, &masked);
-        assert_eq!(a, b, "certified and explicit gates must agree");
-        assert!(a.is_ok());
-        assert_eq!(certified.vet_stats.structural_ns.count(), 1);
     }
 
     #[test]
@@ -1645,9 +1236,12 @@ mod tests {
         let b = bare_responder();
         assert_eq!(a.state_digest(), b.state_digest());
 
-        // Wall-clock-only state (vet stats, recovery timings) must not
-        // perturb the digest...
-        a.vet_stats.structural_ns.record(123);
+        // Wall-clock-only state (vet stats and memo, recovery timings)
+        // must not perturb the digest...
+        a.vetter
+            .vet(&[], &RouteTables::build(&tiny()))
+            .expect("healthy tables vet");
+        assert_eq!(a.vet_stats().structural_ns.count(), 1);
         a.recovery_ns.record(456);
         assert_eq!(a.state_digest(), b.state_digest());
 

@@ -99,7 +99,7 @@ mod tests {
         for v in [100, 200, 300, 400] {
             s.record(v);
         }
-        let m = ServiceMetrics::from_series(&s, &VetStats::new());
+        let m = ServiceMetrics::from_series(&s, &VetStats::default());
         assert_eq!(m.episodes, 4);
         assert_eq!(m.detect_install_p50, 200);
         assert_eq!(m.detect_install_p99, 400);

@@ -1,9 +1,9 @@
 //! `mdw-routed` — a resident fault-tolerant fabric-control service
 //! (DESIGN.md §12).
 //!
-//! The offline pipeline (PR 4's [`FaultResponder`](crate::respond) +
-//! PR 5's memoized model-check vet) handles one outage at a time under a
-//! test harness's control. This module packages it as a *service* that
+//! The offline pipeline (the [`FaultResponder`](crate::respond) and its
+//! reroute vet) handles one outage at a time under a test harness's
+//! control. This module packages it as a *service* that
 //! owns a live [`System`](crate::build::System) and survives fault
 //! storms:
 //!

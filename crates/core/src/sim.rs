@@ -4,9 +4,10 @@
 use crate::build::build_system;
 use crate::config::SystemConfig;
 use crate::forensics::{capture_deadlock_report, DeadlockReport};
-use crate::respond::{FaultResponder, MemoStats, ResponseCounters};
+use crate::respond::{FaultResponder, ResponseCounters};
 use crate::workload::{make_sources, TrafficSpec};
 use collectives::{DegradeCounters, RecoveryCounters};
+use mdw_analysis::MemoStats;
 use netsim::stats::Summary;
 use netsim::{Cycle, FaultCounters, FaultPlan};
 
@@ -127,11 +128,9 @@ pub struct RunOutcome {
     /// ring bounds (0 without fault response) — how much history the
     /// bounded logs shed over the run.
     pub response_dropped: u64,
-    /// Structural-vet memo activity (hits, misses, LRU evictions; all
-    /// zero without fault response).
+    /// Vet memo activity (hits, misses, LRU evictions; all zero without
+    /// fault response).
     pub vet_memo: MemoStats,
-    /// Deep-vet (bounded model check) memo activity.
-    pub deep_memo: MemoStats,
     /// FNV-64 digest of the responder's full durable state at run end
     /// (`None` without fault response). A crashed-and-recovered run must
     /// reproduce the uncrashed oracle's digest exactly.
@@ -261,10 +260,6 @@ pub fn run_experiment(config: &SystemConfig, spec: &TrafficSpec, run: &RunConfig
         vet_memo: responder
             .as_ref()
             .map(|r| r.vet_memo_stats())
-            .unwrap_or_default(),
-        deep_memo: responder
-            .as_ref()
-            .map(|r| r.deep_memo_stats())
             .unwrap_or_default(),
         response_digest: responder.as_ref().map(|r| r.state_digest()),
         torn_cycles: sys

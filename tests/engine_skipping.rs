@@ -240,7 +240,6 @@ fn crash_and_recover_boundary_matches_oracle() {
             "{:?}",
             RunOutcome {
                 vet_memo: Default::default(),
-                deep_memo: Default::default(),
                 ..o.clone()
             }
         )
