@@ -52,10 +52,6 @@
 //!   rule explores only the lowest such worm at each state. Every
 //!   transition strictly increases a bounded progress measure, so the
 //!   deferred interleavings cannot hide a deadlock or livelock.
-//! * **Parallel frontier**: each BFS level is expanded by a scoped worker
-//!   pool in per-worker stripes, then merged sequentially in id order, so
-//!   state numbering, counterexample selection, and stats are independent
-//!   of worker interleaving (byte-identical verdicts at any `jobs`).
 //!
 //! The **compositional mode** ([`crate::compose`]) decomposes a scenario
 //! per switch: cross-switch branches become one-way environment stubs and
@@ -118,7 +114,7 @@ pub enum ModelMode {
     Auto,
 }
 
-/// Reduction and parallelism knobs layered over [`ModelBounds`].
+/// Reduction knobs layered over [`ModelBounds`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelOptions {
     /// Exact, compositional, or size-driven automatic selection.
@@ -128,9 +124,6 @@ pub struct ModelOptions {
     pub symmetry: bool,
     /// Ample-set partial-order reduction over switch-disjoint worms.
     pub por: bool,
-    /// Worker threads expanding each BFS level (1 = serial). Verdicts are
-    /// byte-identical at any value.
-    pub jobs: usize,
 }
 
 impl ModelOptions {
@@ -138,14 +131,13 @@ impl ModelOptions {
     /// exactly.
     pub const AUTO_EXACT_MAX_SWITCHES: usize = 4;
 
-    /// The unreduced sequential oracle: exact mode, no reductions, one
-    /// worker. [`check_model`] uses exactly these options.
+    /// The unreduced oracle: exact mode, no reductions. [`check_model`]
+    /// uses exactly these options.
     pub fn oracle() -> Self {
         ModelOptions {
             mode: ModelMode::Exact,
             symmetry: false,
             por: false,
-            jobs: 1,
         }
     }
 }
@@ -156,7 +148,6 @@ impl Default for ModelOptions {
             mode: ModelMode::Auto,
             symmetry: true,
             por: true,
-            jobs: 1,
         }
     }
 }
@@ -318,7 +309,7 @@ pub fn check_model(
     )
 }
 
-/// [`check_model`] with reduction, parallelism, and decomposition knobs
+/// [`check_model`] with reduction and decomposition knobs
 /// (DESIGN.md §14). With [`ModelOptions::oracle`] this *is* the oracle;
 /// with reductions on, verdicts agree with the oracle while exploring one
 /// representative per symmetry orbit and pruning commuting interleavings.
@@ -880,7 +871,6 @@ pub(crate) fn run_plan(
         max_states: bounds.max_states,
         scenario,
         por: opts.por,
-        jobs: opts.jobs.max(1),
         safe: safe_worms(plan),
         sym,
     };
@@ -939,7 +929,6 @@ pub(crate) fn reexecute_violation(
         max_states: bounds.max_states,
         scenario: base,
         por: false,
-        jobs: 1,
         safe: safe_worms(&plan),
         sym: None,
     };
@@ -965,8 +954,8 @@ pub(crate) fn reexecute_violation(
     Ok(v.trace.len())
 }
 
-/// One level state expanded by a worker: invariant verdict, ample-set
-/// filtered successors with canonical keys, and the pruned count.
+/// One expanded BFS state: invariant verdict, ample-set filtered
+/// successors with canonical keys, and the pruned count.
 struct Expanded {
     invariant: Option<String>,
     succs: Vec<(Label, MState, Vec<u8>)>,
@@ -983,7 +972,6 @@ pub(crate) struct Ctx<'a> {
     pub(crate) max_states: usize,
     pub(crate) scenario: &'a str,
     pub(crate) por: bool,
-    pub(crate) jobs: usize,
     pub(crate) safe: Vec<bool>,
     pub(crate) sym: Option<&'a SymPlan>,
 }
@@ -1584,39 +1572,6 @@ impl Ctx<'_> {
         }
     }
 
-    /// Expands one BFS level, striping it across `jobs` scoped workers.
-    /// Results come back in level order, so the sequential merge — and
-    /// with it state numbering, violation selection, and stats — is
-    /// independent of worker interleaving.
-    fn expand_level(&self, states: &[MState], level: &[usize]) -> Vec<Expanded> {
-        if self.jobs <= 1 || level.len() < self.jobs * 2 {
-            return level
-                .iter()
-                .map(|&id| self.expand_state(&states[id]))
-                .collect();
-        }
-        let chunk = level.len().div_ceil(self.jobs);
-        let mut stripes: Vec<Vec<Expanded>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = level
-                .chunks(chunk)
-                .map(|stripe| {
-                    scope.spawn(move || {
-                        stripe
-                            .iter()
-                            .map(|&id| self.expand_state(&states[id]))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            stripes = handles
-                .into_iter()
-                .map(|h| h.join().expect("model-check worker panicked"))
-                .collect();
-        });
-        stripes.into_iter().flatten().collect()
-    }
-
     fn explore(&self) -> Result<ScenarioStats, Box<Violation>> {
         let initial = self.initial();
         let mut ids: HashMap<Vec<u8>, usize> = HashMap::new();
@@ -1638,15 +1593,11 @@ impl Ctx<'_> {
         };
 
         while !level.is_empty() {
-            let expanded = self.expand_level(&states, &level);
             let mut next_level = Vec::new();
-            for (exp, &id) in expanded.iter().zip(level.iter()) {
-                if let Some(detail) = &exp.invariant {
-                    return Err(self.violation(
-                        "invariant",
-                        detail.clone(),
-                        trace_to(&parents, id),
-                    ));
+            for &id in &level {
+                let exp = self.expand_state(&states[id]);
+                if let Some(detail) = exp.invariant {
+                    return Err(self.violation("invariant", detail, trace_to(&parents, id)));
                 }
                 if exp.succs.is_empty() && !self.all_done(&states[id]) {
                     let undelivered: Vec<String> = states[id]
@@ -1672,11 +1623,11 @@ impl Ctx<'_> {
                 }
                 stats.ample_skips += exp.skipped;
                 let mut edges = Vec::with_capacity(exp.succs.len());
-                for (label, next, key) in &exp.succs {
+                for (label, next, key) in exp.succs {
                     stats.transitions += 1;
-                    let next_id = match ids.get(key) {
+                    let next_id = match ids.get(&key) {
                         Some(&n) => {
-                            if states[n] != *next {
+                            if states[n] != next {
                                 stats.orbit_hits += 1;
                             }
                             n
@@ -1694,9 +1645,9 @@ impl Ctx<'_> {
                                     Vec::new(),
                                 ));
                             }
-                            states.push(next.clone());
-                            ids.insert(key.clone(), n);
-                            parents.push(Some((id, *label)));
+                            states.push(next);
+                            ids.insert(key, n);
+                            parents.push(Some((id, label)));
                             next_level.push(n);
                             n
                         }
@@ -1760,7 +1711,6 @@ pub mod testkit {
             max_states: 200_000,
             scenario,
             por: false,
-            jobs: 1,
             safe: safe_worms(plan),
             sym: None,
         }
@@ -2136,7 +2086,7 @@ mod tests {
         assert_eq!(v.kind, "state-bound");
     }
 
-    // --- PR 8: reduction, parallelism, composition -------------------
+    // --- reduction and composition -----------------------------------
 
     fn star_plan(leaves: usize, worm_chunks: usize) -> Plan {
         let scenario = Scenario {
@@ -2175,35 +2125,6 @@ mod tests {
                     assert_eq!(o.kind, r.kind);
                     assert_eq!(o.scenario, r.scenario);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn verdicts_are_byte_identical_across_worker_counts() {
-        for arch in [ArchClass::CentralBuffer, ArchClass::InputBuffered] {
-            for sync in [false, true] {
-                let runs: Vec<String> = [1usize, 2, 4]
-                    .into_iter()
-                    .map(|jobs| {
-                        let opts = ModelOptions {
-                            jobs,
-                            ..ModelOptions::default()
-                        };
-                        format!(
-                            "{:?}",
-                            check_model_opts(
-                                arch,
-                                sync,
-                                ReplicatePolicy::ReturnOnly,
-                                &ModelBounds::default(),
-                                &opts,
-                            )
-                        )
-                    })
-                    .collect();
-                assert_eq!(runs[0], runs[1], "{arch:?} sync={sync}: jobs 1 vs 2");
-                assert_eq!(runs[0], runs[2], "{arch:?} sync={sync}: jobs 1 vs 4");
             }
         }
     }

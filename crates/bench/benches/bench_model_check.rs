@@ -109,15 +109,6 @@ fn bench(c: &mut Criterion) {
                 })
             })
         });
-        g.bench_function(format!("scale_{switches}sw_reduced_exact_jobs4"), |b| {
-            b.iter(|| {
-                run(ModelOptions {
-                    mode: ModelMode::Exact,
-                    jobs: 4,
-                    ..ModelOptions::default()
-                })
-            })
-        });
         g.bench_function(format!("scale_{switches}sw_compositional"), |b| {
             b.iter(|| {
                 run(ModelOptions {

@@ -11,7 +11,7 @@
 //! cargo run --release -p mdworm --bin mdw-lint -- --default
 //! cargo run --release -p mdworm --bin mdw-lint -- --model-check configs/*.mdw
 //! cargo run --release -p mdworm --bin mdw-lint -- --model-check \
-//!     --model-switches 16 --model-jobs 4 --model-stats configs/sp2-default.mdw
+//!     --model-switches 16 --model-stats configs/sp2-default.mdw
 //! cargo run --release -p mdworm --bin mdw-lint -- --certify configs/fat-tree-4k.mdw
 //! ```
 //!
@@ -33,8 +33,6 @@
 //!   per-switch assume-guarantee decomposition, or size-driven selection
 //!   (the default; overrides the config's `model.mode` key when given);
 //! * `--model-switches N` — largest scenario fabric explored (default 2);
-//! * `--model-jobs N` — worker threads per BFS level (verdicts are
-//!   byte-identical at any value);
 //! * `--model-stats` — one JSON line per config with state counts, the
 //!   orbit-reduction factor, ample-set skips and wall time.
 //!
@@ -57,7 +55,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: mdw-lint [--json] [--default] [--model-check] \
                  [--model-mode exact|compositional|auto] [--model-switches N] \
-                 [--model-jobs N] [--model-stats] [--certify] <config.mdw>...";
+                 [--model-stats] [--certify] <config.mdw>...";
     let mut json = false;
     let mut lint_default = false;
     let mut model_check = false;
@@ -65,7 +63,6 @@ fn main() {
     let mut model_stats = false;
     let mut model_mode: Option<ModelMode> = None;
     let mut model_switches: Option<usize> = None;
-    let mut model_jobs: usize = 1;
     let mut files: Vec<String> = Vec::new();
     let mut i = 0;
     while i < argv.len() {
@@ -98,12 +95,6 @@ fn main() {
                     eprintln!("bad --model-switches value\n{usage}");
                     std::process::exit(2);
                 }))
-            }
-            "--model-jobs" => {
-                model_jobs = value_of(&mut i).parse().unwrap_or_else(|_| {
-                    eprintln!("bad --model-jobs value\n{usage}");
-                    std::process::exit(2);
-                })
             }
             "--help" | "-h" => {
                 eprintln!("{usage}");
@@ -207,7 +198,6 @@ fn main() {
             let mode = model_mode.unwrap_or(cfg.model_mode);
             let opts = ModelOptions {
                 mode,
-                jobs: model_jobs.max(1),
                 ..ModelOptions::default()
             };
             let start = std::time::Instant::now();
@@ -237,11 +227,9 @@ fn main() {
                      \"verified\":{verified},\"states\":{states},\
                      \"transitions\":{},\"orbit_hits\":{orbit_hits},\
                      \"orbit_reduction_factor\":{reduction:.3},\
-                     \"ample_skips\":{},\"frontier_workers\":{},\
-                     \"wall_ms\":{wall_ms:.3}}}",
+                     \"ample_skips\":{},\"wall_ms\":{wall_ms:.3}}}",
                     st.map_or(0, |s| s.transitions),
                     st.map_or(0, |s| s.ample_skips),
-                    opts.jobs,
                 );
             }
             match outcome {

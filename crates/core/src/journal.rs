@@ -2,14 +2,19 @@
 //!
 //! Every durable state change the [`crate::respond::FaultResponder`]
 //! makes — a link event observed, a debounce poll that confirmed
-//! transitions, an epoch prepared/committed/aborted, an episode
-//! finalized — is appended here *before* (decisions) or *atomically with*
-//! (observations) its in-memory effect. A responder that crashes loses
-//! only its process state: replaying the journal against the surviving
-//! fabric rebuilds byte-identical responder state, and the two-phase
-//! install records tell the recovery exactly which epoch was prepared but
-//! not yet committed so it can re-drive the commit (see
-//! [`crate::respond::FaultResponder::recover`]).
+//! transitions, an episode stage reached, an epoch
+//! prepared/committed/aborted, an episode finalized — is one record
+//! here, and each record has exactly one in-memory effect. The live path
+//! *writes* a record: it appends it, then applies it. Recovery applies
+//! the same records through the same code, so a responder that crashes
+//! loses only its process state: applying the journal against the
+//! surviving fabric rebuilds byte-identical responder state, including
+//! the stage of the episode in flight, and the two-phase install records
+//! tell the recovery exactly which epoch was prepared but not yet
+//! committed so it can re-drive the commit (see
+//! [`crate::respond::FaultResponder::recover`]). Snapshot records are the
+//! one exception: the live path only appends them, because they describe
+//! state that already holds.
 //!
 //! ## Wire format
 //!

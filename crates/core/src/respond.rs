@@ -38,15 +38,25 @@
 //!
 //! ## Crash tolerance (DESIGN.md §15)
 //!
-//! Every durable decision is journaled ([`crate::journal`]) before or
-//! atomically with its in-memory effect, and every wait inside an episode
-//! is keyed to an *absolute* engine-cycle deadline derived from the
-//! detection cycle. A responder that crashes (modeled by the
+//! Every change to durable responder state is a journal record
+//! ([`crate::journal`]) with one effect: the live path *writes* a record
+//! (appends it, then applies it) and recovery applies the same records
+//! in order, through the same `apply` — no other code touches counters,
+//! the event log, the latency series, the health view, the masked and
+//! suppressed sets, the epoch cursor or the episode stage. The one
+//! exception is the snapshot record, which the live path only appends:
+//! it describes state that already holds.
+//!
+//! The in-flight episode is part of that state, and the episode driver
+//! runs one step per stage, each ending in a journaled step that
+//! advances the stage and crosses a crash boundary. Every wait inside
+//! an episode is keyed to an *absolute* engine-cycle deadline derived
+//! from the detection cycle. A responder that crashes (modeled by the
 //! [`crate::chaos`] harness as an early unwind at a protocol boundary)
-//! therefore recovers by replaying the journal — rebuilding health,
-//! counters, the event log, the latency series and the epoch cursor to
-//! byte-identical state — and *re-driving* the in-flight episode. Every
-//! re-driven step is idempotent: deadlines in the past are no-ops,
+//! therefore recovers by applying the journal — rebuilding its durable
+//! state byte-identically, the episode stage included — and
+//! *re-driving* the episode from that stage. Every re-driven step is
+//! idempotent: deadlines in the past are no-ops,
 //! [`SwitchCtl::prepare`]/[`SwitchCtl::commit`] tolerate re-issue, and
 //! journaled verdicts short-circuit re-vetting. An install whose commit
 //! record is durable but whose per-switch commits were cut short is
@@ -54,10 +64,11 @@
 //! engine's epoch audit ([`netsim::engine::Engine::enable_epoch_audit`])
 //! holds every cycle to that.
 //!
-//! The only deliberately ephemeral bit is
-//! [`request_retry`](FaultResponder::request_retry): a retry lost to a
-//! crash is re-armed by the storm controller's backoff on its own
-//! schedule, so journaling it would buy nothing.
+//! Two bits are deliberately ephemeral. A
+//! [`request_retry`](FaultResponder::request_retry) lost to a crash is
+//! re-armed by the storm controller's backoff on its own schedule, so
+//! journaling it would buy nothing; the vet memo only caches verdicts
+//! that are pure functions of the journaled dead set.
 //!
 //! Table swaps ride the switches' install-only-when-empty rule, so no worm
 //! ever decodes against a mix of old and new tables.
@@ -276,11 +287,12 @@ pub struct ResponseCounters {
 /// before the crash.
 pub type CandidateBuilder = Box<dyn Fn(&Topology, &[(SwitchId, usize)]) -> RouteTables>;
 
-/// How far a journaled episode had durably progressed — replayed from the
-/// record stream and used by [`FaultResponder::drive`] to skip completed
-/// steps.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Stage {
+/// How far the in-flight episode has durably progressed. Only
+/// [`FaultResponder::apply`] moves it, one journal record at a time, so
+/// the live path and journal replay walk the same stages; each stage has
+/// exactly one driver step in [`FaultResponder::drive`].
+#[derive(Debug)]
+enum Stage {
     /// Hosts gated; drain window may or may not have elapsed.
     Started,
     /// Purge raised on every switch.
@@ -299,23 +311,11 @@ pub(crate) enum Stage {
     Aborting,
 }
 
-impl Stage {
-    fn rank(&self) -> u8 {
-        match self {
-            Stage::Started => 0,
-            Stage::Purging => 1,
-            Stage::Purged => 2,
-            Stage::Staled => 3,
-            Stage::Prepared => 4,
-            Stage::Vetted(_) => 5,
-            Stage::Committing | Stage::Aborting => 6,
-        }
-    }
-}
-
-/// One in-flight response episode, as reconstructed from the journal.
-#[derive(Debug, Clone)]
-pub(crate) struct Episode {
+/// The in-flight response episode: journaled progress plus the staged
+/// candidate, which is process memory only and rebuilt on demand after a
+/// crash.
+#[derive(Debug)]
+struct Episode {
     /// Cycle the episode was triggered (all deadlines key off this).
     detect: Cycle,
     stage: Stage,
@@ -323,6 +323,9 @@ pub(crate) struct Episode {
     epoch: u64,
     /// The dead-port set the episode masks (valid from `Prepared` on).
     masked: Vec<(SwitchId, usize)>,
+    /// The candidate prepared on every switch under `epoch`; `None`
+    /// until staged in this process.
+    candidate: Option<Rc<RouteTables>>,
 }
 
 /// The fault-response orchestrator. Owns the debounced health view, the
@@ -357,6 +360,9 @@ pub struct FaultResponder {
     journal: Journal,
     /// Highest epoch allocated so far (0 = none; build-time tables).
     last_epoch: u64,
+    /// The response episode in flight, if any (never across a public
+    /// call that returned normally).
+    episode: Option<Episode>,
     /// The reroute admission gate, with its verdict memo and vet
     /// timings.
     vetter: Vetter,
@@ -411,6 +417,7 @@ impl FaultResponder {
             latency,
             journal,
             last_epoch: 0,
+            episode: None,
             vetter,
             chaos: None,
             recoveries: 0,
@@ -431,17 +438,13 @@ impl FaultResponder {
         r
     }
 
-    /// Rebuilds a responder from a surviving journal store: replays every
+    /// Rebuilds a responder from a surviving journal store: applies every
     /// intact record (snapshot first, then the tail; duplicated-tail
-    /// sequence numbers are skipped, torn tails were dropped at reopen)
-    /// and returns the recovered responder plus the in-flight episode to
-    /// re-drive, if the crash interrupted one. The recovered state is
-    /// byte-identical to the pre-crash responder's durable state.
-    pub(crate) fn recover(
-        cfg: ResponseConfig,
-        store: JournalStore,
-        sys: &mut System,
-    ) -> (Self, Option<Episode>) {
+    /// sequence numbers are skipped, torn tails were dropped at reopen).
+    /// The recovered state is byte-identical to the pre-crash responder's
+    /// durable state, including the in-flight episode to re-drive, if the
+    /// crash interrupted one.
+    pub(crate) fn recover(cfg: ResponseConfig, store: JournalStore, sys: &mut System) -> Self {
         let (journal, records) = Journal::reopen(
             store,
             JournalConfig {
@@ -449,24 +452,43 @@ impl FaultResponder {
             },
         );
         let mut r = FaultResponder::base(cfg, sys, journal);
-        let mut episode = None;
         let mut last_seq: Option<u64> = None;
         for (seq, rec) in records {
             if last_seq.is_some_and(|s| seq <= s) {
                 continue; // duplicated tail: already applied
             }
             last_seq = Some(seq);
-            r.replay(rec, &mut episode);
+            r.apply(rec);
         }
-        (r, episode)
+        r
     }
 
-    /// Applies one journal record's in-memory effects — the exact
-    /// counterpart of what the live path does when it writes the record.
-    fn replay(&mut self, rec: JournalRecord, episode: &mut Option<Episode>) {
-        fn stage_of(episode: &mut Option<Episode>) -> &mut Episode {
-            episode.as_mut().expect("episode record outside an episode")
-        }
+    /// Makes a decision durable and then takes effect: appends `rec` to
+    /// the journal and [`apply`](Self::apply)s it, so the live path and
+    /// replay share one effect per record.
+    fn write(&mut self, rec: JournalRecord) {
+        self.journal.append(&rec);
+        self.apply(rec);
+    }
+
+    /// [`write`](Self::write) followed by a crash boundary — every
+    /// journaled protocol step goes through here, so none can escape the
+    /// crash sweep.
+    fn step(&mut self, rec: JournalRecord) -> Result<(), Crashed> {
+        self.write(rec);
+        self.chaos_point()
+    }
+
+    /// The in-flight episode; episode records only occur inside one.
+    fn in_flight(&mut self) -> &mut Episode {
+        self.episode.as_mut().expect("no episode in flight")
+    }
+
+    /// Applies one journal record's in-memory effects. The only code
+    /// that changes journaled responder state: the live path reaches it
+    /// through [`write`](Self::write), recovery through
+    /// [`recover`](Self::recover).
+    fn apply(&mut self, rec: JournalRecord) {
         match rec {
             JournalRecord::Snapshot(s) => {
                 self.last_epoch = s.last_epoch;
@@ -490,16 +512,17 @@ impl FaultResponder {
             JournalRecord::Drained => self.fresh_confirmed.clear(),
             JournalRecord::Suppressed { links } => self.suppressed = links,
             JournalRecord::RespondStarted { detect } => {
-                *episode = Some(Episode {
+                self.episode = Some(Episode {
                     detect,
                     stage: Stage::Started,
                     epoch: 0,
                     masked: Vec::new(),
+                    candidate: None,
                 });
             }
             JournalRecord::PurgeStarted { .. } => {
                 self.counters.purges += 1;
-                stage_of(episode).stage = Stage::Purging;
+                self.in_flight().stage = Stage::Purging;
             }
             JournalRecord::PurgeDone {
                 at,
@@ -515,39 +538,35 @@ impl FaultResponder {
                         },
                     );
                 }
-                stage_of(episode).stage = Stage::Purged;
+                self.in_flight().stage = Stage::Purged;
             }
             JournalRecord::StaleDetected { at } => {
                 self.counters.stale_detects += 1;
                 self.events.push(at, ResponseEvent::StaleDetect);
-                stage_of(episode).stage = Stage::Staled;
+                self.in_flight().stage = Stage::Staled;
             }
             JournalRecord::Prepared { epoch, masked } => {
                 self.last_epoch = self.last_epoch.max(epoch);
-                let ep = stage_of(episode);
+                let ep = self.in_flight();
                 ep.epoch = epoch;
                 ep.masked = masked;
                 ep.stage = Stage::Prepared;
             }
             JournalRecord::Vetted { verdict, .. } => {
-                stage_of(episode).stage = Stage::Vetted(verdict);
+                self.in_flight().stage = Stage::Vetted(verdict);
             }
-            JournalRecord::Committed { .. } => stage_of(episode).stage = Stage::Committing,
+            JournalRecord::Committed { .. } => self.in_flight().stage = Stage::Committing,
             JournalRecord::Aborted {
                 at, code, message, ..
             } => {
                 self.counters.reroutes_rejected += 1;
                 self.events
                     .push(at, ResponseEvent::RerouteRejected { code, message });
-                stage_of(episode).stage = Stage::Aborting;
+                self.in_flight().stage = Stage::Aborting;
             }
             JournalRecord::Finalized { at, outcome, .. } => {
-                let (detect, masked) = {
-                    let ep = stage_of(episode);
-                    (ep.detect, std::mem::take(&mut ep.masked))
-                };
-                self.apply_finalized(at, detect, &masked, outcome);
-                *episode = None;
+                let ep = self.episode.take().expect("no episode in flight");
+                self.apply_finalized(at, ep.detect, ep.masked, outcome);
             }
         }
     }
@@ -595,10 +614,9 @@ impl FaultResponder {
             let store = self.journal.store();
             let builder = self.builder.take();
             let chaos = self.chaos.take();
-            let (mut fresh, episode) = FaultResponder::recover(cfg.clone(), store, sys);
-            fresh.builder = builder;
-            fresh.chaos = chaos;
-            *self = fresh;
+            *self = FaultResponder::recover(cfg.clone(), store, sys);
+            self.builder = builder;
+            self.chaos = chaos;
             let ns = t0.elapsed().as_nanos() as u64;
             recovery_ns.record(ns);
             if let Some(h) = &self.chaos {
@@ -606,9 +624,10 @@ impl FaultResponder {
                 st.recoveries += 1;
                 st.recovery_ns.push(ns);
             }
-            let result = match episode {
-                Some(ep) => self.drive(sys, ep).map(|()| true),
-                None => self.try_poll(sys),
+            let result = if self.episode.is_some() {
+                self.drive(sys).map(|()| true)
+            } else {
+                self.try_poll(sys)
             };
             match result {
                 Ok(ran) => {
@@ -723,13 +742,9 @@ impl FaultResponder {
     pub fn set_suppressed(&mut self, mut links: Vec<LinkId>) {
         links.sort_unstable();
         links.dedup();
-        if links == self.suppressed {
-            return;
+        if links != self.suppressed {
+            self.write(JournalRecord::Suppressed { links });
         }
-        self.journal.append(&JournalRecord::Suppressed {
-            links: links.clone(),
-        });
-        self.suppressed = links;
     }
 
     /// Links currently under administrative suppression.
@@ -740,10 +755,11 @@ impl FaultResponder {
     /// Hands out (and clears) the debounce-confirmed transitions
     /// accumulated since the previous call — the flap damper's diet.
     pub fn drain_confirmed(&mut self) -> Vec<ConfirmedTransition> {
-        if !self.fresh_confirmed.is_empty() {
-            self.journal.append(&JournalRecord::Drained);
+        let fresh = self.fresh_confirmed.clone();
+        if !fresh.is_empty() {
+            self.write(JournalRecord::Drained);
         }
-        std::mem::take(&mut self.fresh_confirmed)
+        fresh
     }
 
     /// Arms a one-shot override of the `dead == masked` early-exit so the
@@ -777,14 +793,13 @@ impl FaultResponder {
         let events = sys.engine.drain_link_events();
         if !events.is_empty() {
             for ev in events {
-                self.journal.append(&JournalRecord::Observed {
+                self.write(JournalRecord::Observed {
                     link: ev.link,
                     at: ev.at,
                     down: ev.down,
                 });
-                self.health.observe(ev);
             }
-            self.chaos_point()?;
+            self.chaos_point()?; // one boundary per drained batch
         }
         if !self.health.has_pending() {
             return Ok(());
@@ -796,10 +811,7 @@ impl FaultResponder {
         if self.health.clone().poll(now).is_empty() {
             return Ok(());
         }
-        self.journal.append(&JournalRecord::Polled { now });
-        self.apply_poll(now);
-        self.chaos_point()?;
-        Ok(())
+        self.step(JournalRecord::Polled { now })
     }
 
     /// Applies a debounce poll at `now`: counters, event log, and the
@@ -873,30 +885,18 @@ impl FaultResponder {
     }
 
     fn respond_if_needed(&mut self, sys: &mut System) -> Result<bool, Crashed> {
-        let dead = self.current_dead();
-        let ran = if dead != self.masked || self.retry_requested {
+        let ran = self.current_dead() != self.masked || self.retry_requested;
+        if ran {
             self.retry_requested = false;
-            let detect = sys.engine.now();
-            // journal_apply: episode opened, hosts gated.
-            self.journal
-                .append(&JournalRecord::RespondStarted { detect });
             sys.fabric_mode.gate();
-            self.chaos_point()?;
-            self.drive(
-                sys,
-                Episode {
-                    detect,
-                    stage: Stage::Started,
-                    epoch: 0,
-                    masked: Vec::new(),
-                },
-            )?;
-            true
-        } else {
-            false
-        };
+            self.step(JournalRecord::RespondStarted {
+                detect: sys.engine.now(),
+            })?;
+            self.drive(sys)?;
+        }
         // Quiescent point (never mid-episode): snapshot + compact once
-        // enough records accumulated.
+        // enough records accumulated. Append-only: it records state that
+        // already holds.
         if self.journal.wants_snapshot() {
             self.journal
                 .append(&JournalRecord::Snapshot(Box::new(self.make_snapshot())));
@@ -904,201 +904,168 @@ impl FaultResponder {
         Ok(ran)
     }
 
-    /// Runs (or, after a crash, *re-runs*) an episode from whatever stage
-    /// the journal proves durable: gate → drain → purge → resample →
-    /// prepare → vet → commit/abort → degrade/heal → ungate. Every step
-    /// is idempotent — waits use absolute deadlines keyed off
-    /// `ep.detect`, switch control accepts re-issued commands, and
-    /// journaled decisions are skipped rather than re-taken — so driving
+    /// Runs (or, after a crash, *re-runs*) the in-flight episode from
+    /// whatever stage the journal proves durable, one step per stage:
+    /// drain → purge → resample → prepare → vet → commit/abort →
+    /// degrade/heal → ungate (the hosts were gated before the episode's
+    /// first record). Each step ends in exactly one journaled
+    /// [`step`](Self::step), which advances the stage. Every step is
+    /// idempotent — waits use absolute deadlines keyed off the detection
+    /// cycle and switch control accepts re-issued commands — so driving
     /// the same episode any number of times converges on the same fabric
     /// state and the same engine timeline.
-    fn drive(&mut self, sys: &mut System, mut ep: Episode) -> Result<(), Crashed> {
-        let detect = ep.detect;
-        sys.fabric_mode.gate(); // idempotent re-assert on re-drive
-        sys.engine.run_until(detect + self.cfg.drain_wait);
-
-        // Purge: raise on every switch (re-raising is a no-op), then loop
-        // until the fabric is empty or the absolute budget expires.
-        sys.control_all(|ctl, _| ctl.begin_purge());
-        if ep.stage.rank() < Stage::Purging.rank() {
-            self.journal.append(&JournalRecord::PurgeStarted {
-                at: sys.engine.now(),
-            });
-            self.counters.purges += 1;
-            ep.stage = Stage::Purging;
-            self.chaos_point()?;
-        }
-
-        if ep.stage.rank() < Stage::Purged.rank() {
-            let purge_end = detect + self.cfg.drain_wait + self.cfg.purge_max;
-            loop {
-                let empty = sys.engine.flits_in_links() == 0
-                    && sys.switch_ctls.iter().all(|c| c.is_empty());
-                if empty {
-                    self.journal.append(&JournalRecord::PurgeDone {
-                        at: sys.engine.now(),
-                        flits_left: 0,
-                        complete: true,
-                    });
-                    break;
-                }
-                if sys.engine.now() >= purge_end {
-                    let flits_left = sys.engine.flits_in_links();
-                    self.journal.append(&JournalRecord::PurgeDone {
-                        at: sys.engine.now(),
-                        flits_left: flits_left as u64,
-                        complete: false,
-                    });
-                    self.counters.purges_incomplete += 1;
-                    self.events.push(
-                        sys.engine.now(),
-                        ResponseEvent::PurgeIncomplete { flits_left },
-                    );
-                    break;
-                }
-                sys.engine.run_for(1);
-            }
-            ep.stage = Stage::Purged;
-            self.chaos_point()?;
-        }
-
-        if ep.stage == Stage::Purged {
-            // Re-sample health after the quiesce: the drain + purge just
-            // consumed hundreds of cycles, plenty for the outage that
-            // triggered this response to clear (a sub-window blip the
-            // debounce confirmed right at its edge) or for further links
-            // to fall over. Installing tables for the stale set would
-            // leave ports masked for links already back up — the service
-            // would then run degraded until the *next* transition woke it.
-            self.observe_inner(sys)?;
-            let dead = self.current_dead();
-            if dead == self.masked {
-                self.journal.append(&JournalRecord::StaleDetected {
+    fn drive(&mut self, sys: &mut System) -> Result<(), Crashed> {
+        while let Some(ep) = &self.episode {
+            match &ep.stage {
+                Stage::Started => self.start_purge(sys)?,
+                Stage::Purging => self.wait_purge(sys)?,
+                Stage::Purged => self.resample(sys)?,
+                Stage::Staled => self.finish(sys, EpisodeOutcome::Stale)?,
+                Stage::Prepared => self.prepare_and_vet(sys)?,
+                // Point of no return: once this record is durable the
+                // install *will* reach every switch.
+                Stage::Vetted(Ok(())) => self.step(JournalRecord::Committed { epoch: ep.epoch })?,
+                // Stay on the proven-deadlock-free old tables; the
+                // degraded planner still peels what they cannot cover.
+                Stage::Vetted(Err((code, message))) => self.step(JournalRecord::Aborted {
                     at: sys.engine.now(),
-                });
-                self.counters.stale_detects += 1;
-                self.events
-                    .push(sys.engine.now(), ResponseEvent::StaleDetect);
-                ep.stage = Stage::Staled;
-                self.chaos_point()?;
-            } else {
-                let epoch = self.last_epoch + 1;
-                self.journal.append(&JournalRecord::Prepared {
-                    epoch,
-                    masked: dead.clone(),
-                });
-                self.last_epoch = epoch;
-                ep.epoch = epoch;
-                ep.masked = dead;
-                ep.stage = Stage::Prepared;
-                self.chaos_point()?;
+                    epoch: ep.epoch,
+                    code: code.clone(),
+                    message: message.clone(),
+                })?,
+                Stage::Committing => self.commit(sys)?,
+                Stage::Aborting => self.abort(sys)?,
             }
         }
-        if ep.stage == Stage::Staled {
-            return self.finish(sys, &ep, EpisodeOutcome::Stale);
-        }
+        Ok(())
+    }
 
-        // Rebuild the candidate deterministically (recovery reconstructs
-        // the exact tables the crashed run staged) and (re-)prepare it on
-        // every switch. Prepare is idempotent against both a staged and
-        // an armed copy of the same epoch.
-        let candidate = match &self.builder {
+    /// `Started`: wait out the gated drain window, then raise the purge
+    /// on every switch.
+    fn start_purge(&mut self, sys: &mut System) -> Result<(), Crashed> {
+        let detect = self.in_flight().detect;
+        sys.engine.run_until(detect + self.cfg.drain_wait);
+        sys.control_all(|ctl, _| ctl.begin_purge());
+        self.step(JournalRecord::PurgeStarted {
+            at: sys.engine.now(),
+        })
+    }
+
+    /// `Purging`: run until the fabric is empty or the absolute purge
+    /// budget expires.
+    fn wait_purge(&mut self, sys: &mut System) -> Result<(), Crashed> {
+        let purge_end = self.in_flight().detect + self.cfg.drain_wait + self.cfg.purge_max;
+        loop {
+            let flits_left = sys.engine.flits_in_links();
+            let complete = flits_left == 0 && sys.switch_ctls.iter().all(|c| c.is_empty());
+            if complete || sys.engine.now() >= purge_end {
+                return self.step(JournalRecord::PurgeDone {
+                    at: sys.engine.now(),
+                    flits_left: if complete { 0 } else { flits_left as u64 },
+                    complete,
+                });
+            }
+            sys.engine.run_for(1);
+        }
+    }
+
+    /// `Purged`: re-sample health after the quiesce. The drain + purge
+    /// just consumed hundreds of cycles, plenty for the outage that
+    /// triggered this response to clear (a sub-window blip the debounce
+    /// confirmed right at its edge) or for further links to fall over.
+    /// Installing tables for a stale set would leave ports masked for
+    /// links already back up, so an unchanged set ends the episode.
+    fn resample(&mut self, sys: &mut System) -> Result<(), Crashed> {
+        self.observe_inner(sys)?;
+        let dead = self.current_dead();
+        let rec = if dead == self.masked {
+            JournalRecord::StaleDetected {
+                at: sys.engine.now(),
+            }
+        } else {
+            JournalRecord::Prepared {
+                epoch: self.last_epoch + 1,
+                masked: dead,
+            }
+        };
+        self.step(rec)
+    }
+
+    /// The episode's candidate, staged under its epoch on every switch:
+    /// cached once staged in this process, otherwise rebuilt
+    /// deterministically (recovery reconstructs the exact tables the
+    /// crashed run staged) and (re-)prepared, which is idempotent against
+    /// both a staged and an armed copy of the same epoch.
+    fn staged_candidate(&mut self, sys: &mut System) -> Result<Rc<RouteTables>, Crashed> {
+        let ep = self.episode.as_ref().expect("no episode in flight");
+        if let Some(tables) = &ep.candidate {
+            return Ok(tables.clone());
+        }
+        let epoch = ep.epoch;
+        let tables = Rc::new(match &self.builder {
             Some(b) => b(&sys.topology, &ep.masked),
             None => RouteTables::build_masked(&sys.topology, &ep.masked),
-        };
-        let tables = Rc::new(candidate);
+        });
         for k in 0..sys.switch_ctls.len() {
-            sys.control(k, |ctl, _| ctl.prepare(ep.epoch, tables.clone()));
+            sys.control(k, |ctl, _| ctl.prepare(epoch, tables.clone()));
             self.chaos_point()?; // "crash after prepare on switch k"
         }
+        self.in_flight().candidate = Some(tables.clone());
+        Ok(tables)
+    }
 
-        let verdict = match &ep.stage {
-            Stage::Committing => Ok(()),
-            Stage::Aborting => Err((String::new(), String::new())), // effects already durable
-            Stage::Vetted(v) => v.clone(),
-            _ => {
-                let v = self.vetter.vet(&ep.masked, &tables);
-                self.journal.append(&JournalRecord::Vetted {
-                    epoch: ep.epoch,
-                    verdict: v.clone(),
-                });
-                ep.stage = Stage::Vetted(v.clone());
-                self.chaos_point()?;
-                v
-            }
-        };
+    /// `Prepared`: stage the candidate and make the vet verdict durable.
+    fn prepare_and_vet(&mut self, sys: &mut System) -> Result<(), Crashed> {
+        let tables = self.staged_candidate(sys)?;
+        let ep = self.episode.as_ref().expect("no episode in flight");
+        let epoch = ep.epoch;
+        let verdict = self.vetter.vet(&ep.masked, &tables);
+        self.step(JournalRecord::Vetted { epoch, verdict })
+    }
 
-        match verdict {
-            Ok(()) => {
-                if ep.stage.rank() < Stage::Committing.rank() {
-                    // Point of no return: once this record is durable the
-                    // install *will* reach every switch — recovery
-                    // re-drives the loop below however often it takes.
-                    self.journal
-                        .append(&JournalRecord::Committed { epoch: ep.epoch });
-                    ep.stage = Stage::Committing;
-                    self.chaos_point()?;
-                }
-                // Idle switches are empty and swap on their next tick.
-                for k in 0..sys.switch_ctls.len() {
-                    let committed = sys.control(k, |ctl, _| ctl.commit(ep.epoch));
-                    debug_assert!(committed, "a prepared epoch must commit");
-                    self.chaos_point()?; // the torn-install window
-                }
-                sys.tables = tables;
-                let outcome = if ep.masked.is_empty() {
-                    EpisodeOutcome::Healed
-                } else {
-                    EpisodeOutcome::Installed {
-                        masked_ports: ep.masked.len(),
-                    }
-                };
-                self.finish(sys, &ep, outcome)
-            }
-            Err((code, message)) => {
-                if ep.stage != Stage::Aborting {
-                    // Stay on the proven-deadlock-free old tables; the
-                    // degraded planner below still peels what they cannot
-                    // cover.
-                    self.journal.append(&JournalRecord::Aborted {
-                        at: sys.engine.now(),
-                        epoch: ep.epoch,
-                        code: code.clone(),
-                        message: message.clone(),
-                    });
-                    self.counters.reroutes_rejected += 1;
-                    self.events.push(
-                        sys.engine.now(),
-                        ResponseEvent::RerouteRejected { code, message },
-                    );
-                    ep.stage = Stage::Aborting;
-                    self.chaos_point()?;
-                }
-                sys.control_all(|ctl, _| {
-                    ctl.abort(ep.epoch);
-                });
-                self.finish(sys, &ep, EpisodeOutcome::Rejected)
-            }
+    /// `Committing`: arm the epoch on every switch (idle switches are
+    /// empty and swap on their next tick), then finish.
+    fn commit(&mut self, sys: &mut System) -> Result<(), Crashed> {
+        let tables = self.staged_candidate(sys)?;
+        let ep = self.in_flight();
+        let (epoch, masked_ports) = (ep.epoch, ep.masked.len());
+        for k in 0..sys.switch_ctls.len() {
+            let committed = sys.control(k, |ctl, _| ctl.commit(epoch));
+            debug_assert!(committed, "a prepared epoch must commit");
+            self.chaos_point()?; // the torn-install window
         }
+        sys.tables = tables;
+        let outcome = if masked_ports == 0 {
+            EpisodeOutcome::Healed
+        } else {
+            EpisodeOutcome::Installed { masked_ports }
+        };
+        self.finish(sys, outcome)
+    }
+
+    /// `Aborting`: discard the staged epoch everywhere, then finish.
+    fn abort(&mut self, sys: &mut System) -> Result<(), Crashed> {
+        let epoch = self.in_flight().epoch;
+        sys.control_all(|ctl, _| {
+            ctl.abort(epoch);
+        });
+        self.finish(sys, EpisodeOutcome::Rejected)
     }
 
     /// The episode tail: lower the purge, set the post-episode fabric
     /// mode, ungate the hosts, and write the `finalized` record (whose
     /// apply updates counters, the event log, the masked set and the
-    /// latency series in one atomic step).
-    fn finish(
-        &mut self,
-        sys: &mut System,
-        ep: &Episode,
-        outcome: EpisodeOutcome,
-    ) -> Result<(), Crashed> {
+    /// latency series in one atomic step, and closes the episode).
+    fn finish(&mut self, sys: &mut System, outcome: EpisodeOutcome) -> Result<(), Crashed> {
         sys.control_all(|ctl, _| ctl.end_purge());
+        let ep = self.in_flight();
+        let (epoch, healthy) = (ep.epoch, ep.masked.is_empty());
         // Degrade whenever masked tables are (or should be) active: the
         // planner sends full-coverage sets as one worm anyway, so on cuts
         // that leave coverage intact this only costs the plan check. A
         // stale episode keeps whatever mode was already in force.
         if outcome != EpisodeOutcome::Stale {
-            if ep.masked.is_empty() {
+            if healthy {
                 sys.fabric_mode.heal();
             } else {
                 sys.fabric_mode.degrade(DegradePlanner {
@@ -1110,24 +1077,19 @@ impl FaultResponder {
             }
         }
         sys.fabric_mode.ungate();
-        let at = sys.engine.now();
-        self.journal.append(&JournalRecord::Finalized {
-            at,
-            epoch: ep.epoch,
+        self.step(JournalRecord::Finalized {
+            at: sys.engine.now(),
+            epoch,
             outcome,
-        });
-        self.apply_finalized(at, ep.detect, &ep.masked, outcome);
-        self.chaos_point()?;
-        Ok(())
+        })
     }
 
-    /// In-memory effects of a `finalized` record — shared verbatim
-    /// between the live path and journal replay.
+    /// In-memory effects of a `finalized` record.
     fn apply_finalized(
         &mut self,
         at: Cycle,
         detect: Cycle,
-        masked: &[(SwitchId, usize)],
+        masked: Vec<(SwitchId, usize)>,
         outcome: EpisodeOutcome,
     ) {
         match outcome {
@@ -1135,16 +1097,14 @@ impl FaultResponder {
                 self.counters.reroutes += 1;
                 self.events
                     .push(at, ResponseEvent::Rerouted { masked_ports });
-                self.masked = masked.to_vec();
+                self.masked = masked;
             }
             EpisodeOutcome::Healed => {
                 self.counters.heals += 1;
                 self.events.push(at, ResponseEvent::Healed);
-                self.masked = masked.to_vec();
+                self.masked = masked;
             }
-            EpisodeOutcome::Rejected => {
-                self.masked = masked.to_vec();
-            }
+            EpisodeOutcome::Rejected => self.masked = masked,
             EpisodeOutcome::Stale => {}
         }
         self.latency.record(at - detect);
@@ -1210,6 +1170,7 @@ mod tests {
             latency,
             journal,
             last_epoch: 0,
+            episode: None,
             vetter,
             chaos: None,
             recoveries: 0,

@@ -2,15 +2,13 @@
 //! shipped config (DESIGN.md §14).
 //!
 //! The reductions — symmetry quotient, ample-set partial-order
-//! reduction, worker-striped frontiers, and the compositional
-//! per-switch decomposition — are only admissible if they never change
-//! a verdict. This suite pins that contract to the artifacts users
-//! actually lint: for each `configs/*.mdw`, the unreduced sequential
-//! oracle and every reduced/parallel/compositional configuration must
-//! agree, verdicts must be byte-identical across worker counts, and
-//! every counterexample must re-execute against the rebuilt unreduced
-//! model (and, for central-buffer scenarios, replay through the pure
-//! `cq_step` machine).
+//! reduction, and the compositional per-switch decomposition — are only
+//! admissible if they never change a verdict. This suite pins that
+//! contract to the artifacts users actually lint: for each
+//! `configs/*.mdw`, the unreduced oracle and every reduced/compositional
+//! configuration must agree, and every counterexample must re-execute
+//! against the rebuilt unreduced model (and, for central-buffer
+//! scenarios, replay through the pure `cq_step` machine).
 
 use mdw_analysis::{
     check_model_opts, replay_model_violation, ArchClass, CheckOutcome, ModelBounds, ModelMode,
@@ -75,25 +73,20 @@ fn every_mode_agrees_with_the_oracle_on_shipped_configs() {
             &ModelOptions::oracle(),
         );
         for mode in modes {
-            for jobs in [1, 4] {
-                let opts = ModelOptions {
-                    mode,
-                    jobs,
-                    ..ModelOptions::default()
-                };
-                let out = check_model_opts(arch, sync, cfg.switch.policy, &bounds, &opts);
-                assert_eq!(
-                    out.is_verified(),
-                    oracle.is_verified(),
-                    "{name} ({mode:?}, jobs={jobs}) disagrees with the oracle: {out:?}"
-                );
-                if let CheckOutcome::Violated(v) = &out {
-                    let replay = replay_model_violation(arch, sync, cfg.switch.policy, &bounds, v)
-                        .unwrap_or_else(|e| {
-                            panic!("{name} ({mode:?}, jobs={jobs}): counterexample rejected: {e}")
-                        });
-                    assert_eq!(replay.steps, v.trace.len(), "{name} ({mode:?})");
-                }
+            let opts = ModelOptions {
+                mode,
+                ..ModelOptions::default()
+            };
+            let out = check_model_opts(arch, sync, cfg.switch.policy, &bounds, &opts);
+            assert_eq!(
+                out.is_verified(),
+                oracle.is_verified(),
+                "{name} ({mode:?}) disagrees with the oracle: {out:?}"
+            );
+            if let CheckOutcome::Violated(v) = &out {
+                let replay = replay_model_violation(arch, sync, cfg.switch.policy, &bounds, v)
+                    .unwrap_or_else(|e| panic!("{name} ({mode:?}): counterexample rejected: {e}"));
+                assert_eq!(replay.steps, v.trace.len(), "{name} ({mode:?})");
             }
         }
         // The one shipped hazard config must actually be caught.
@@ -101,34 +94,6 @@ fn every_mode_agrees_with_the_oracle_on_shipped_configs() {
             assert!(!oracle.is_verified(), "{name} must deadlock: {oracle:?}");
         } else {
             assert!(oracle.is_verified(), "{name} must verify: {oracle:?}");
-        }
-    }
-}
-
-/// Worker striping is an implementation detail: the complete outcome —
-/// stats on verification, the minimal counterexample (scenario, kind,
-/// trace, events) on violation — is byte-identical at 1, 2 and 4 jobs
-/// on every shipped config.
-#[test]
-fn verdicts_are_byte_identical_across_worker_counts_on_shipped_configs() {
-    let bounds = ModelBounds::default();
-    for (name, cfg) in shipped_configs() {
-        let (arch, sync) = model_inputs(&cfg);
-        for mode in [ModelMode::Exact, ModelMode::Auto] {
-            let render = |jobs: usize| {
-                let opts = ModelOptions {
-                    mode,
-                    jobs,
-                    ..ModelOptions::default()
-                };
-                format!(
-                    "{:?}",
-                    check_model_opts(arch, sync, cfg.switch.policy, &bounds, &opts)
-                )
-            };
-            let one = render(1);
-            assert_eq!(one, render(2), "{name} ({mode:?}): jobs=2 diverged");
-            assert_eq!(one, render(4), "{name} ({mode:?}): jobs=4 diverged");
         }
     }
 }

@@ -110,6 +110,52 @@ fn crash_matrix_holds_on_input_buffered_switches() {
     );
 }
 
+/// Crashes inside a *rejected* episode: both cuts at once leave the
+/// 2-tree's masked candidate without full reachability, so the vet
+/// rejects it and the epoch is aborted; the heal then re-installs the
+/// original tables. The matrix sweeps the abort path stage by stage.
+#[test]
+fn crash_matrix_covers_rejected_episodes() {
+    let cfg = crash_cfg(SwitchArch::CentralBuffer);
+    let spec = TrafficSpec::multiple_multicast(0.02, 2, 8);
+    let run = RunConfig {
+        outages: vec![(0, 400, 800), (2, 400, 800)],
+        ..crash_run(400)
+    };
+    let out = run_crash_sweep(&cfg, &spec, &run, &[8]);
+    assert!(out.mismatches.is_empty(), "{:?}", out.mismatches);
+    assert_eq!(out.torn_cycles, 0);
+    assert!(out.recoveries >= out.runs);
+    assert_eq!(
+        out.oracle.response.reroutes_rejected, 1,
+        "{:?}",
+        out.oracle.response
+    );
+    assert_eq!(out.oracle.response.heals, 1, "{:?}", out.oracle.response);
+}
+
+/// Crashes inside a *stale* episode: the cut heals during the quiesce
+/// window, so the post-purge resample finds nothing to mask and the
+/// episode finalizes without building tables.
+#[test]
+fn crash_matrix_covers_stale_episodes() {
+    let cfg = crash_cfg(SwitchArch::CentralBuffer);
+    let spec = TrafficSpec::multiple_multicast(0.02, 2, 8);
+    let run = RunConfig {
+        outages: vec![(0, 400, 550)],
+        ..crash_run(400)
+    };
+    let out = run_crash_sweep(&cfg, &spec, &run, &[8]);
+    assert!(out.mismatches.is_empty(), "{:?}", out.mismatches);
+    assert_eq!(out.torn_cycles, 0);
+    assert!(out.recoveries >= out.runs);
+    assert_eq!(
+        out.oracle.response.stale_detects, 1,
+        "{:?}",
+        out.oracle.response
+    );
+}
+
 // ---------------------------------------------------------------------
 // Journal property loops (hand-rolled; the workspace carries no proptest)
 // ---------------------------------------------------------------------
