@@ -17,10 +17,9 @@
 //!   granted multidestination worms (paper §3, Chiang & Ni), a hazard the
 //!   runtime watchdog demonstrably catches.
 //!
-//! The sizing rules double as the engine behind
-//! [`SwitchConfig::validate`]'s legacy `Result` interface, so every
-//! message here is byte-identical to the one that interface has always
-//! produced.
+//! The sizing rules themselves live once, in
+//! [`SwitchConfig::violations`]: [`SwitchConfig::validate`] surfaces the
+//! first violation, and [`switch_sizing`] records every one.
 
 use crate::report::ConfigReport;
 use switches::{ReplicationMode, SwitchConfig};
@@ -38,77 +37,13 @@ pub enum ArchClass {
 /// Runs every switch-level sizing and protocol check, appending findings
 /// to `report`.
 ///
-/// The first eight checks reproduce [`SwitchConfig::validate`] exactly
-/// (same order, same messages) so `Result`-based callers surfacing
-/// [`ConfigReport::first_error`] see unchanged behavior; the
-/// architecture-specific hazard checks follow as warnings.
+/// Every [`SwitchConfig::violations`] entry becomes an error, in rule
+/// order, so [`ConfigReport::first_error`] names the same violation
+/// [`SwitchConfig::validate`] returns; the architecture-specific hazard
+/// checks follow as warnings.
 pub fn switch_sizing(cfg: &SwitchConfig, arch: ArchClass, report: &mut ConfigReport) {
-    if !(cfg.ports >= 2 && cfg.ports <= 16) {
-        report.error(
-            "ports-out-of-range",
-            format!("ports must be 2..=16, got {}", cfg.ports),
-        );
-    }
-    if cfg.chunk_flits < 1 {
-        report.error("chunk-holds-no-flit", "chunks must hold at least one flit");
-    }
-    if cfg.cq_chunks < 1 {
-        report.error("cq-empty", "central queue needs capacity");
-    }
-    if cfg.max_packet_flits < 2 {
-        report.error(
-            "packet-below-header",
-            format!(
-                "packets have at least a header; max_packet_flits {} is too small",
-                cfg.max_packet_flits
-            ),
-        );
-    }
-    // The capacity comparisons are meaningless (and `chunks_for` divides
-    // by the chunk size) when the basic sanity checks above already
-    // failed, so they only run on a structurally sane central queue.
-    if cfg.chunk_flits >= 1 && cfg.cq_chunks >= 1 {
-        if u32::from(cfg.max_packet_flits) > cfg.cq_flits() {
-            report.error(
-                "cb-packet-exceeds-cq",
-                format!(
-                    "max packet ({} flits) exceeds central queue ({} flits): \
-                     deadlock-freedom guarantee impossible",
-                    cfg.max_packet_flits,
-                    cfg.cq_flits()
-                ),
-            );
-        }
-        if cfg.cq_chunks < 2 * cfg.cq_down_reserve() {
-            report.error(
-                "cb-no-descending-reserve",
-                format!(
-                    "central queue ({} chunks) must hold at least two max packets \
-                     ({} chunks each): one is reserved for descending traffic",
-                    cfg.cq_chunks,
-                    cfg.cq_down_reserve()
-                ),
-            );
-        }
-    }
-    if u32::from(cfg.max_packet_flits) > cfg.input_buf_flits {
-        report.error(
-            "ib-packet-exceeds-fifo",
-            format!(
-                "max packet ({} flits) exceeds input buffer ({} flits): \
-                 deadlock-freedom guarantee impossible",
-                cfg.max_packet_flits, cfg.input_buf_flits
-            ),
-        );
-    }
-    if cfg.staging_flits < 4 {
-        report.error(
-            "staging-below-decode",
-            format!(
-                "staging of {} flits cannot cover decode latency (need >= 4)",
-                cfg.staging_flits
-            ),
-        );
+    for (code, message) in cfg.violations() {
+        report.error(code, message);
     }
 
     // Architecture-specific protocol hazards (warnings: the configuration

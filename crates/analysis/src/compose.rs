@@ -33,7 +33,7 @@
 
 use crate::checks::ArchClass;
 use crate::model::{
-    run_plan, ModelBounds, ModelOptions, Plan, PlanBranch, ScenarioStats, Target, Violation, Visit,
+    run_plan, ModelBounds, Plan, PlanBranch, ScenarioStats, Target, Violation, Visit,
 };
 use std::collections::HashSet;
 
@@ -156,7 +156,6 @@ pub(crate) fn check_scenario(
     arch: ArchClass,
     sync: bool,
     bounds: &ModelBounds,
-    opts: &ModelOptions,
 ) -> Result<ScenarioStats, Box<Violation>> {
     let mut total = ScenarioStats::default();
     let mut proved: HashSet<Vec<u8>> = HashSet::new();
@@ -167,8 +166,8 @@ pub(crate) fn check_scenario(
         let sub_name = format!("{name}@s{}", sub.sw);
         // Symmetry is off for sub-plans: every visit shares switch 0, so
         // no worm is separable and rebuilding the group per sub-plan
-        // would buy nothing.
-        let s = run_plan(&sub_name, &sub.plan, arch, sync, bounds, opts, false)?;
+        // would buy nothing. Partial-order reduction stays on.
+        let s = run_plan(&sub_name, &sub.plan, arch, sync, bounds, false, true)?;
         total.states += s.states;
         total.transitions += s.transitions;
         total.orbit_hits += s.orbit_hits;

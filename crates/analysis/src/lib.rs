@@ -47,8 +47,8 @@ pub use certify::{certify_fabric, Certificate, CertifyOutcome, RankRule};
 pub use checks::{switch_sizing, ArchClass};
 pub use destset::{CompactPort, CompactTable, CompactTables, RunSet};
 pub use model::{
-    check_model, check_model_opts, CheckOutcome, ModelBounds, ModelMode, ModelOptions, ModelStats,
-    TraceOp, TraceStep, Violation,
+    check_model, check_model_opts, CheckOutcome, ModelBounds, ModelMode, ModelStats, TraceOp,
+    TraceStep, Violation,
 };
 pub use replay::{
     replay_cq_trace, replay_model_violation, ModelReplay, ReplayMismatch, ReplayReport,

@@ -109,47 +109,15 @@ pub enum ModelMode {
     /// structurally distinct per-switch plan once.
     Compositional,
     /// Exact for small scenarios, compositional beyond
-    /// [`ModelOptions::AUTO_EXACT_MAX_SWITCHES`] switches.
+    /// [`ModelMode::AUTO_EXACT_MAX_SWITCHES`] switches.
     #[default]
     Auto,
 }
 
-/// Reduction knobs layered over [`ModelBounds`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ModelOptions {
-    /// Exact, compositional, or size-driven automatic selection.
-    pub mode: ModelMode,
-    /// Deduplicate states by canonical key under the plan's symmetry
-    /// group (one representative per orbit).
-    pub symmetry: bool,
-    /// Ample-set partial-order reduction over switch-disjoint worms.
-    pub por: bool,
-}
-
-impl ModelOptions {
+impl ModelMode {
     /// Largest scenario (in switches) `ModelMode::Auto` still checks
     /// exactly.
     pub const AUTO_EXACT_MAX_SWITCHES: usize = 4;
-
-    /// The unreduced oracle: exact mode, no reductions. [`check_model`]
-    /// uses exactly these options.
-    pub fn oracle() -> Self {
-        ModelOptions {
-            mode: ModelMode::Exact,
-            symmetry: false,
-            por: false,
-        }
-    }
-}
-
-impl Default for ModelOptions {
-    fn default() -> Self {
-        ModelOptions {
-            mode: ModelMode::Auto,
-            symmetry: true,
-            por: true,
-        }
-    }
 }
 
 /// One transition of a counterexample trace, in structured form — enough
@@ -285,7 +253,8 @@ impl CheckOutcome {
 
 /// Checks the given switch architecture (with synchronous or asynchronous
 /// replication) against every bounded scenario with the **unreduced
-/// sequential oracle** ([`ModelOptions::oracle`]).
+/// sequential oracle**: exact exploration, no symmetry or partial-order
+/// reduction.
 ///
 /// Scenarios cover a single switch with crossed multicasts, and a
 /// two-switch parent/child fabric with ascending, descending, and
@@ -300,25 +269,39 @@ pub fn check_model(
     policy: ReplicatePolicy,
     bounds: &ModelBounds,
 ) -> CheckOutcome {
-    check_model_opts(
+    check(
         arch,
         sync_replication,
         policy,
         bounds,
-        &ModelOptions::oracle(),
+        ModelMode::Exact,
+        false,
     )
 }
 
-/// [`check_model`] with reduction and decomposition knobs
-/// (DESIGN.md §14). With [`ModelOptions::oracle`] this *is* the oracle;
-/// with reductions on, verdicts agree with the oracle while exploring one
-/// representative per symmetry orbit and pruning commuting interleavings.
+/// [`check_model`] with symmetry and partial-order reduction always on,
+/// and `mode` choosing the decomposition (DESIGN.md §14). Verdicts agree
+/// with the oracle while exploring one representative per symmetry orbit
+/// and pruning commuting interleavings.
 pub fn check_model_opts(
     arch: ArchClass,
     sync_replication: bool,
     policy: ReplicatePolicy,
     bounds: &ModelBounds,
-    opts: &ModelOptions,
+    mode: ModelMode,
+) -> CheckOutcome {
+    check(arch, sync_replication, policy, bounds, mode, true)
+}
+
+/// The one scenario loop behind [`check_model`] (`reduce = false`, exact
+/// mode) and [`check_model_opts`] (`reduce = true`).
+fn check(
+    arch: ArchClass,
+    sync_replication: bool,
+    policy: ReplicatePolicy,
+    bounds: &ModelBounds,
+    mode: ModelMode,
+    reduce: bool,
 ) -> CheckOutcome {
     let sync = sync_replication && arch == ArchClass::InputBuffered;
     let mut stats = ModelStats::default();
@@ -335,15 +318,15 @@ pub fn check_model_opts(
                 }))
             }
         };
-        let exact = match opts.mode {
+        let exact = match mode {
             ModelMode::Exact => true,
             ModelMode::Compositional => false,
-            ModelMode::Auto => scenario.n_switches <= ModelOptions::AUTO_EXACT_MAX_SWITCHES,
+            ModelMode::Auto => scenario.n_switches <= ModelMode::AUTO_EXACT_MAX_SWITCHES,
         };
         let result = if exact {
-            run_plan(scenario.name, &plan, arch, sync, bounds, opts, true)
+            run_plan(scenario.name, &plan, arch, sync, bounds, reduce, reduce)
         } else {
-            crate::compose::check_scenario(scenario.name, &plan, arch, sync, bounds, opts)
+            crate::compose::check_scenario(scenario.name, &plan, arch, sync, bounds)
         };
         match result {
             Ok(s) => {
@@ -842,20 +825,22 @@ pub(crate) struct ScenarioStats {
     pub(crate) ample_skips: usize,
 }
 
-/// Explores one plan under the given options. `allow_symmetry` lets the
-/// compositional driver force symmetry off for sub-plans (whose worms all
-/// share the one checked switch, so the group would be rebuilt per
-/// sub-plan for no reduction).
+/// Explores one plan. `symmetry` deduplicates states by canonical key
+/// under the plan's symmetry group (one representative per orbit); the
+/// compositional driver turns it off for sub-plans, whose worms all share
+/// the one checked switch, so the group would be rebuilt per sub-plan for
+/// no reduction. `por` enables ample-set partial-order reduction over
+/// switch-disjoint worms.
 pub(crate) fn run_plan(
     scenario: &str,
     plan: &Plan,
     arch: ArchClass,
     sync: bool,
     bounds: &ModelBounds,
-    opts: &ModelOptions,
-    allow_symmetry: bool,
+    symmetry: bool,
+    por: bool,
 ) -> Result<ScenarioStats, Box<Violation>> {
-    let sym_built = if opts.symmetry && allow_symmetry && !plan.has_env() {
+    let sym_built = if symmetry && !plan.has_env() {
         Some(symmetry::build(plan))
     } else {
         None
@@ -870,7 +855,7 @@ pub(crate) fn run_plan(
         cq_reserve: bounds.cq_reserve,
         max_states: bounds.max_states,
         scenario,
-        por: opts.por,
+        por,
         safe: safe_worms(plan),
         sym,
     };
@@ -1872,24 +1857,8 @@ pub mod testkit {
         for arch in [ArchClass::CentralBuffer, ArchClass::InputBuffered] {
             let plan =
                 build_plan(&scenario, ReplicatePolicy::ReturnOnly, 2).expect("tree fabrics route");
-            let oracle = run_plan(
-                scenario.name,
-                &plan,
-                arch,
-                false,
-                &bounds,
-                &ModelOptions::oracle(),
-                true,
-            );
-            let reduced = run_plan(
-                scenario.name,
-                &plan,
-                arch,
-                false,
-                &bounds,
-                &ModelOptions::default(),
-                true,
-            );
+            let oracle = run_plan(scenario.name, &plan, arch, false, &bounds, false, false);
+            let reduced = run_plan(scenario.name, &plan, arch, false, &bounds, true, true);
             match (&oracle, &reduced) {
                 (Ok(o), Ok(r)) => {
                     assert!(
@@ -2113,7 +2082,7 @@ mod tests {
                     sync,
                     ReplicatePolicy::ReturnOnly,
                     &ModelBounds::default(),
-                    &ModelOptions::default(),
+                    ModelMode::Auto,
                 );
                 assert_eq!(
                     oracle.is_verified(),
@@ -2141,26 +2110,10 @@ mod tests {
             ..ModelBounds::default()
         };
         for arch in [ArchClass::CentralBuffer, ArchClass::InputBuffered] {
-            let oracle = run_plan(
-                "star",
-                &plan,
-                arch,
-                false,
-                &bounds,
-                &ModelOptions::oracle(),
-                true,
-            )
-            .expect("oracle verifies");
-            let reduced = run_plan(
-                "star",
-                &plan,
-                arch,
-                false,
-                &bounds,
-                &ModelOptions::default(),
-                true,
-            )
-            .expect("reduced verifies");
+            let oracle = run_plan("star", &plan, arch, false, &bounds, false, false)
+                .expect("oracle verifies");
+            let reduced = run_plan("star", &plan, arch, false, &bounds, true, true)
+                .expect("reduced verifies");
             assert!(
                 reduced.states * 10 <= oracle.states,
                 "{arch:?}: reduced {} vs oracle {} states",
@@ -2196,10 +2149,7 @@ mod tests {
             false,
             ReplicatePolicy::ReturnOnly,
             &bounds,
-            &ModelOptions {
-                mode: ModelMode::Exact,
-                ..ModelOptions::default()
-            },
+            ModelMode::Exact,
         );
         let CheckOutcome::Verified(stats) = exact_reduced else {
             panic!("reduced exact checker must verify: {exact_reduced:?}");
@@ -2214,7 +2164,7 @@ mod tests {
             false,
             ReplicatePolicy::ReturnOnly,
             &bounds,
-            &ModelOptions::default(),
+            ModelMode::Auto,
         );
         assert!(
             auto.is_verified(),
@@ -2229,10 +2179,7 @@ mod tests {
             true,
             ReplicatePolicy::ReturnOnly,
             &ModelBounds::default(),
-            &ModelOptions {
-                mode: ModelMode::Compositional,
-                ..ModelOptions::default()
-            },
+            ModelMode::Compositional,
         );
         let CheckOutcome::Violated(v) = out else {
             panic!("compositional mode must still find the crossed-grant deadlock");
@@ -2258,10 +2205,7 @@ mod tests {
                 false,
                 ReplicatePolicy::ReturnOnly,
                 &ModelBounds::default(),
-                &ModelOptions {
-                    mode: ModelMode::Compositional,
-                    ..ModelOptions::default()
-                },
+                ModelMode::Compositional,
             );
             assert!(out.is_verified(), "{arch:?}: {out:?}");
         }

@@ -33,7 +33,7 @@
 use crate::certify::{certify_fabric, Certificate};
 use crate::checks::ArchClass;
 use crate::destset::{CompactTables, RunSet};
-use crate::model::{check_model_opts, CheckOutcome, ModelBounds, ModelMode, ModelOptions};
+use crate::model::{check_model_opts, CheckOutcome, ModelBounds, ModelMode};
 use crate::report::ConfigReport;
 use crate::timing::VetStats;
 use crate::{check_cdg, check_full_reachability, check_live_switches, roundtrip};
@@ -76,7 +76,7 @@ pub struct Vetter {
     arch: ArchClass,
     sync_replication: bool,
     bounds: ModelBounds,
-    opts: ModelOptions,
+    mode: ModelMode,
     /// The model-check verdict, once computed.
     model: Option<Result<(), String>>,
     memo: BoundedMemo<Vec<(SwitchId, usize)>, Verdict>,
@@ -110,10 +110,7 @@ impl Vetter {
             arch,
             sync_replication,
             bounds,
-            opts: ModelOptions {
-                mode,
-                ..ModelOptions::default()
-            },
+            mode,
             model: None,
             memo: BoundedMemo::new(MEMO_CAP),
             stats: VetStats::default(),
@@ -202,7 +199,7 @@ impl Vetter {
             self.sync_replication,
             self.policy,
             &self.bounds,
-            &self.opts,
+            self.mode,
         );
         self.stats
             .model_ns

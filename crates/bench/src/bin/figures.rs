@@ -10,7 +10,7 @@
 //! `--jobs N` sizes the sweep worker pool (default: `MDWORM_JOBS`, else
 //! available parallelism). `--bench` runs the selected suite twice —
 //! serial then parallel — verifies the outputs are byte-identical, times
-//! the raw engine and its cycle rate across offered load, and writes
+//! the engine's cycle rate across offered load, and writes
 //! `BENCH_sweep.json` next to the tables.
 
 use mdw_bench::perf::bench_sweep;
@@ -21,8 +21,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Engine-microbench length for `--bench` (cycles).
-const ENGINE_BENCH_CYCLES: u64 = 200_000;
+/// Cycles `--bench` runs at each `bench_scale` load point.
+const SCALE_BENCH_CYCLES: u64 = 20_000;
 
 struct Args {
     exp: String,
@@ -133,7 +133,7 @@ fn main() -> ExitCode {
             args.scale,
             &args.exp,
             jobs_parallel,
-            ENGINE_BENCH_CYCLES,
+            SCALE_BENCH_CYCLES,
         );
         emit(&args.out, &tables);
         let json = report.json();

@@ -1,9 +1,10 @@
-//! Shared scales and parameter sets for the benchmark harness.
+//! Shared scales and parameter sets for the experiment harness.
 //!
 //! Every evaluation axis of the paper has a *full* parameter set (used by
 //! the `figures` binary to regenerate the tables recorded in
-//! EXPERIMENTS.md) and a *smoke* set (used by the Criterion benches so
-//! `cargo bench` exercises every experiment in minutes, not hours).
+//! EXPERIMENTS.md) and a *quick* set (`figures --scale quick`, which runs
+//! every experiment in minutes, not hours, and is what `figures --bench`
+//! times into `BENCH_sweep.json`).
 
 use mdworm::sim::RunConfig;
 use mdworm::SystemConfig;

@@ -1,7 +1,7 @@
-//! Perf measurement: times the sweep suite serial vs parallel, the raw
-//! engine cycle rate, and the engine's cycle rate and skipped ticks across
-//! offered load, and serializes the result as `BENCH_sweep.json` — the
-//! repo's recorded performance trajectory.
+//! Perf measurement: times the sweep suite serial vs parallel and the
+//! engine's cycle rate and skipped ticks across offered load, and
+//! serializes the result as `BENCH_sweep.json` — the repo's recorded
+//! performance trajectory.
 
 use crate::suite::{run_suite, Table};
 use crate::Scale;
@@ -30,12 +30,6 @@ pub struct BenchReport {
     pub outputs_identical: bool,
     /// Number of tables rendered per pass.
     pub tables: usize,
-    /// Cycles simulated by the single-engine microbench.
-    pub engine_cycles: u64,
-    /// Wall-clock of the microbench, seconds.
-    pub engine_secs: f64,
-    /// Simulated cycles per wall-clock second (single engine, one core).
-    pub engine_cycles_per_sec: f64,
     /// Detect→install episodes in the storm microbench.
     pub storm_episodes: usize,
     /// p50 detect→install latency of the storm microbench, cycles.
@@ -232,8 +226,6 @@ impl BenchReport {
              \"jobs_parallel\": {},\n  \"host_cpus\": {},\n  \"serial_secs\": {:.3},\n  \
              \"parallel_secs\": {:.3},\n  \"speedup\": {:.3},\n  \
              \"outputs_identical\": {},\n  \"tables\": {},\n  \
-             \"engine_cycles\": {},\n  \"engine_secs\": {:.3},\n  \
-             \"engine_cycles_per_sec\": {:.0},\n  \
              \"storm_episodes\": {},\n  \"storm_p50_cycles\": {},\n  \
              \"storm_p99_cycles\": {},\n  \"storm_vet_p50_ns\": {},\n  \
              \"storm_vet_p99_ns\": {},\n  \
@@ -251,9 +243,6 @@ impl BenchReport {
             self.speedup,
             self.outputs_identical,
             self.tables,
-            self.engine_cycles,
-            self.engine_secs,
-            self.engine_cycles_per_sec,
             self.storm_episodes,
             self.storm_p50_cycles,
             self.storm_p99_cycles,
@@ -336,28 +325,13 @@ pub fn crash_recovery_latency() -> (u64, u64, u64, u64) {
     (r.boundaries, r.recoveries, r.rec_p50_ns, r.rec_p99_ns)
 }
 
-/// Times one 64-processor engine under the default multiple-multicast
-/// workload for `cycles` cycles; returns elapsed seconds.
-///
-/// This is the engine hot-path number: one engine, one core, no sweep
-/// parallelism — it moves when `begin_cycle` skipping, counter
-/// maintenance, and buffer preallocation move, not when the worker pool
-/// grows.
-pub fn engine_secs(cycles: u64) -> f64 {
-    let cfg = SystemConfig::default();
-    let spec = TrafficSpec::multiple_multicast(0.3, 16, 64);
-    let sources = make_sources(&spec, cfg.n_hosts(), cfg.seed, None);
-    let mut sys = build_system(cfg, sources, None);
-    let t = Instant::now();
-    sys.engine.run_for(cycles);
-    t.elapsed().as_secs_f64()
-}
-
 /// Runs the default 64-host fabric for `cycles` cycles of degree-16,
 /// 64-flit multiple multicast at loads 0.05, 0.3 and 0.6, recording the
 /// cycle rate and how many component ticks quiescence skipping avoided.
 /// Light load leaves most switches idle, heavy load almost none, so the
-/// three points bracket what skipping can harvest.
+/// three points bracket what skipping can harvest. The load-0.3 row is
+/// the engine hot-path number: one engine, one core, no sweep
+/// parallelism.
 pub fn bench_scale(cycles: u64) -> Vec<ScalePoint> {
     [0.05, 0.3, 0.6]
         .into_iter()
@@ -390,18 +364,19 @@ pub fn bench_scale(cycles: u64) -> Vec<ScalePoint> {
 /// honestly (`unreduced_completed: false`) rather than hidden, and the
 /// reduction factor is then a lower bound.
 pub fn bench_model_check() -> Vec<ModelCheckBench> {
-    use mdw_analysis::{check_model_opts, ArchClass, CheckOutcome, ModelBounds, ModelOptions};
+    use mdw_analysis::{
+        check_model, check_model_opts, ArchClass, CheckOutcome, ModelBounds, ModelMode,
+    };
     use mintopo::route::ReplicatePolicy;
 
-    let timed = |bounds: &ModelBounds, opts: &ModelOptions| {
+    // `None` runs the unreduced oracle, `Some(mode)` the reduced checker.
+    let timed = |bounds: &ModelBounds, mode: Option<ModelMode>| {
+        let (arch, policy) = (ArchClass::CentralBuffer, ReplicatePolicy::ReturnOnly);
         let t = Instant::now();
-        let out = check_model_opts(
-            ArchClass::CentralBuffer,
-            false,
-            ReplicatePolicy::ReturnOnly,
-            bounds,
-            opts,
-        );
+        let out = match mode {
+            None => check_model(arch, false, policy, bounds),
+            Some(mode) => check_model_opts(arch, false, policy, bounds, mode),
+        };
         (out, t.elapsed().as_secs_f64())
     };
     [8usize, 16]
@@ -412,7 +387,7 @@ pub fn bench_model_check() -> Vec<ModelCheckBench> {
                 max_states: 50_000,
                 ..ModelBounds::default()
             };
-            let (oracle, unreduced_secs) = timed(&bounds, &ModelOptions::oracle());
+            let (oracle, unreduced_secs) = timed(&bounds, None);
             let (unreduced_states, unreduced_completed) = match &oracle {
                 CheckOutcome::Verified(stats) => (stats.states, true),
                 // The only violation the known-good default config can
@@ -420,19 +395,11 @@ pub fn bench_model_check() -> Vec<ModelCheckBench> {
                 // the honest state count.
                 CheckOutcome::Violated(_) => (bounds.max_states, false),
             };
-            let exact = ModelOptions {
-                mode: mdw_analysis::ModelMode::Exact,
-                ..ModelOptions::default()
-            };
-            let (reduced, reduced_secs) = timed(&bounds, &exact);
+            let (reduced, reduced_secs) = timed(&bounds, Some(ModelMode::Exact));
             let CheckOutcome::Verified(reduced_stats) = reduced else {
                 panic!("reduced checker must verify the {switches}-switch tier: {reduced:?}");
             };
-            let compositional = ModelOptions {
-                mode: mdw_analysis::ModelMode::Compositional,
-                ..ModelOptions::default()
-            };
-            let (comp, compositional_secs) = timed(&bounds, &compositional);
+            let (comp, compositional_secs) = timed(&bounds, Some(ModelMode::Compositional));
             let CheckOutcome::Verified(comp_stats) = comp else {
                 panic!("compositional checker must verify the {switches}-switch tier: {comp:?}");
             };
@@ -523,9 +490,9 @@ fn certify_symbolic_tier(k: usize, n: usize) -> CertifyBench {
 }
 
 /// Runs the suite serially (jobs = 1), then with `jobs_parallel` workers,
-/// verifies the outputs are byte-identical, and times the raw engine.
-/// Returns the report and the parallel pass's tables (for writing to
-/// `results/`).
+/// verifies the outputs are byte-identical, and runs the microbenches
+/// (`scale_cycles` cycles per [`bench_scale`] load point). Returns the
+/// report and the parallel pass's tables (for writing to `results/`).
 ///
 /// Restores the worker-pool override to `jobs_parallel` on return.
 pub fn bench_sweep(
@@ -533,7 +500,7 @@ pub fn bench_sweep(
     scale: Scale,
     exp: &str,
     jobs_parallel: usize,
-    engine_cycles: u64,
+    scale_cycles: u64,
 ) -> (BenchReport, Vec<Table>) {
     sweep::set_jobs(1);
     let t = Instant::now();
@@ -550,10 +517,9 @@ pub fn bench_sweep(
     let parallel_secs = t.elapsed().as_secs_f64();
 
     let outputs_identical = serial == parallel;
-    let eng_secs = engine_secs(engine_cycles);
     let (storm_episodes, storm_p50, storm_p99, vet_p50, vet_p99) = storm_latency();
     let (crash_boundaries, crash_recoveries, crash_p50, crash_p99) = crash_recovery_latency();
-    let scale_points = bench_scale(engine_cycles / 10);
+    let scale_points = bench_scale(scale_cycles);
     let report = BenchReport {
         scale: format!("{scale:?}").to_lowercase(),
         exp: exp.to_string(),
@@ -564,9 +530,6 @@ pub fn bench_sweep(
         speedup: serial_secs / parallel_secs.max(1e-9),
         outputs_identical,
         tables: parallel.len(),
-        engine_cycles,
-        engine_secs: eng_secs,
-        engine_cycles_per_sec: engine_cycles as f64 / eng_secs.max(1e-9),
         storm_episodes,
         storm_p50_cycles: storm_p50,
         storm_p99_cycles: storm_p99,
@@ -599,9 +562,6 @@ mod tests {
             speedup: 2.5,
             outputs_identical: true,
             tables: 14,
-            engine_cycles: 30_000,
-            engine_secs: 0.5,
-            engine_cycles_per_sec: 60_000.0,
             storm_episodes: 8,
             storm_p50_cycles: 256,
             storm_p99_cycles: 257,
@@ -705,11 +665,6 @@ mod tests {
             assert!(row.reduced_states * 10 <= row.unreduced_states, "{row:?}");
             assert!(row.compositional_states > 0, "{row:?}");
         }
-    }
-
-    #[test]
-    fn engine_microbench_runs() {
-        assert!(engine_secs(200) > 0.0);
     }
 
     /// The load sweep runs, skips real work at every load, and accounts

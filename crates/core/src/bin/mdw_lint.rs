@@ -46,7 +46,7 @@
 //! endpoints (where explicit enumeration exhausts its budget) is visible
 //! directly.
 
-use mdw_analysis::{check_model_opts, CheckOutcome, ModelBounds, ModelMode, ModelOptions};
+use mdw_analysis::{check_model_opts, CheckOutcome, ModelBounds, ModelMode};
 use mdworm::cfgtext::parse_config;
 use mdworm::config::SystemConfig;
 use switches::ReplicationMode;
@@ -196,12 +196,8 @@ fn main() {
                 ..ModelBounds::default()
             };
             let mode = model_mode.unwrap_or(cfg.model_mode);
-            let opts = ModelOptions {
-                mode,
-                ..ModelOptions::default()
-            };
             let start = std::time::Instant::now();
-            let outcome = check_model_opts(arch, sync, cfg.switch.policy, &bounds, &opts);
+            let outcome = check_model_opts(arch, sync, cfg.switch.policy, &bounds, mode);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             let mode_str = match mode {
                 ModelMode::Exact => "exact",

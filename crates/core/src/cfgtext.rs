@@ -105,8 +105,8 @@ pub fn parse_config(text: &str) -> Result<SystemConfig, String> {
             "barrier_combining" => cfg.barrier_combining = value.parse().map_err(|_| bad(key))?,
             "seed" => cfg.seed = parse_u64(key)?,
             // Model-check decomposition of the deep reroute vet
-            // (DESIGN.md §14); both spellings accepted.
-            "model.mode" | "model_mode" => {
+            // (DESIGN.md §14).
+            "model.mode" => {
                 cfg.model_mode = match value {
                     "exact" => mdw_analysis::ModelMode::Exact,
                     "compositional" => mdw_analysis::ModelMode::Compositional,
@@ -170,35 +170,33 @@ pub fn parse_config(text: &str) -> Result<SystemConfig, String> {
                     .get_or_insert_with(ResponseConfig::default)
                     .event_log_cap = parse_usize(key)?
             }
-            // Responder write-ahead journal (DESIGN.md §15); both
-            // spellings accepted. Setting either implies `response = on`.
-            "journal.snapshot_every" | "journal_snapshot_every" => {
+            // Responder write-ahead journal (DESIGN.md §15). Setting
+            // either key implies `response = on`.
+            "journal.snapshot_every" => {
                 cfg.response
                     .get_or_insert_with(ResponseConfig::default)
                     .snapshot_every = parse_u64(key)?
             }
-            "journal.latency_cap" | "journal_latency_cap" => {
+            "journal.latency_cap" => {
                 cfg.response
                     .get_or_insert_with(ResponseConfig::default)
                     .latency_cap = parse_usize(key)?
             }
             // Engine-level torn-install audit over the two-phase epoch
-            // protocol; both spellings accepted.
-            "epoch.audit" | "epoch_audit" => match value {
+            // protocol.
+            "epoch.audit" => match value {
                 "on" | "true" => cfg.epoch_audit = true,
                 "off" | "false" => cfg.epoch_audit = false,
                 _ => return Err(bad("epoch.audit (on|off)")),
             },
             // Certificate-based deadlock-freedom checking (DESIGN.md
-            // §16); both spellings accepted.
-            "certify.enabled" | "certify_enabled" => match value {
+            // §16).
+            "certify.enabled" => match value {
                 "on" | "true" => cfg.certify.enabled = true,
                 "off" | "false" => cfg.certify.enabled = false,
                 _ => return Err(bad("certify.enabled (on|off)")),
             },
-            "certify.cdg_budget" | "certify_cdg_budget" => {
-                cfg.certify.cdg_budget = parse_usize(key)?
-            }
+            "certify.cdg_budget" => cfg.certify.cdg_budget = parse_usize(key)?,
             // Resident control plane (`mdw-routed`) storm hardening.
             "routed" => match value {
                 "on" | "true" => {
@@ -451,9 +449,8 @@ mod tests {
     }
 
     #[test]
-    fn journal_and_epoch_keys_parse_both_spellings() {
-        // Journal tuning keys materialize the response block and land in
-        // the same fields under either spelling.
+    fn journal_and_epoch_keys_parse_dotted_only() {
+        // Journal tuning keys materialize the response block.
         let cfg = parse_config("journal.snapshot_every = 128").expect("parses");
         assert_eq!(
             cfg.response
@@ -463,7 +460,7 @@ mod tests {
             128
         );
         let cfg =
-            parse_config("journal_snapshot_every = 64\njournal.latency_cap = 512").expect("parses");
+            parse_config("journal.snapshot_every = 64\njournal.latency_cap = 512").expect("parses");
         let resp = cfg.response.clone().expect("implies response");
         assert_eq!(resp.snapshot_every, 64);
         assert_eq!(resp.latency_cap, 512);
@@ -471,7 +468,7 @@ mod tests {
 
         let cfg = parse_config("epoch.audit = on").expect("parses");
         assert!(cfg.epoch_audit);
-        let cfg = parse_config("epoch_audit = true\nepoch.audit = off").expect("parses");
+        let cfg = parse_config("epoch.audit = true\nepoch.audit = off").expect("parses");
         assert!(!cfg.epoch_audit, "later `off` wins");
         let err = parse_config("epoch.audit = maybe").unwrap_err();
         assert!(err.contains("epoch.audit"), "{err}");
@@ -499,24 +496,36 @@ mod tests {
         );
         let err = parse_config("journal.latency_cap = many").unwrap_err();
         assert!(err.contains("journal.latency_cap"), "{err}");
+
+        // The underscore aliases are gone.
+        for alias in [
+            "journal_snapshot_every = 64",
+            "journal_latency_cap = 512",
+            "epoch_audit = on",
+        ] {
+            let err = parse_config(alias).unwrap_err();
+            assert!(err.contains("unknown key"), "{alias}: {err}");
+        }
     }
 
     #[test]
-    fn certify_keys_parse_both_spellings() {
+    fn certify_keys_parse_dotted_only() {
         let cfg = parse_config("").expect("parses");
         assert!(!cfg.certify.enabled);
         assert_eq!(cfg.certify.cdg_budget, 100_000);
 
         let cfg = parse_config("certify.enabled = on").expect("parses");
         assert!(cfg.certify.enabled);
-        let cfg = parse_config("certify_enabled = true\ncertify.enabled = off").expect("parses");
+        let cfg = parse_config("certify.enabled = true\ncertify.enabled = off").expect("parses");
         assert!(!cfg.certify.enabled, "later `off` wins");
-        let cfg = parse_config("certify.cdg_budget = 5000\ncertify_enabled = on").expect("parses");
+        let cfg = parse_config("certify.cdg_budget = 5000\ncertify.enabled = on").expect("parses");
         assert!(cfg.certify.enabled);
         assert_eq!(cfg.certify.cdg_budget, 5_000);
-        let cfg = parse_config("certify_cdg_budget = 123").expect("parses");
-        assert_eq!(cfg.certify.cdg_budget, 123);
         assert!(!cfg.report().has_errors(), "{:?}", cfg.report().diagnostics);
+        for alias in ["certify_enabled = on", "certify_cdg_budget = 123"] {
+            let err = parse_config(alias).unwrap_err();
+            assert!(err.contains("unknown key"), "{alias}: {err}");
+        }
 
         // A zero budget is parseable but fails the lint.
         let cfg = parse_config("certify.cdg_budget = 0").expect("parses");
@@ -539,18 +548,20 @@ mod tests {
     }
 
     #[test]
-    fn model_mode_key_parses_both_spellings() {
+    fn model_mode_key_parses_dotted_only() {
         use mdw_analysis::ModelMode;
         let cfg = parse_config("").expect("parses");
         assert_eq!(cfg.model_mode, ModelMode::Auto);
         let cfg = parse_config("model.mode = exact").expect("parses");
         assert_eq!(cfg.model_mode, ModelMode::Exact);
-        let cfg = parse_config("model_mode = compositional").expect("parses");
+        let cfg = parse_config("model.mode = compositional").expect("parses");
         assert_eq!(cfg.model_mode, ModelMode::Compositional);
         let cfg = parse_config("model.mode = auto").expect("parses");
         assert_eq!(cfg.model_mode, ModelMode::Auto);
         let err = parse_config("model.mode = heuristic").unwrap_err();
         assert!(err.contains("model.mode"), "{err}");
+        let err = parse_config("model_mode = compositional").unwrap_err();
+        assert!(err.contains("unknown key"), "{err}");
     }
 
     #[test]

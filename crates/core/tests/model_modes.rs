@@ -11,8 +11,8 @@
 //! scenarios, replay through the pure `cq_step` machine).
 
 use mdw_analysis::{
-    check_model_opts, replay_model_violation, ArchClass, CheckOutcome, ModelBounds, ModelMode,
-    ModelOptions,
+    check_model, check_model_opts, replay_model_violation, ArchClass, CheckOutcome, ModelBounds,
+    ModelMode,
 };
 use mdworm::cfgtext::parse_config;
 use mdworm::config::{SwitchArch, SystemConfig};
@@ -54,7 +54,7 @@ fn model_inputs(cfg: &SystemConfig) -> (ArchClass, bool) {
     (arch, cfg.switch.replication == ReplicationMode::Synchronous)
 }
 
-/// Every reduced/parallel/compositional configuration reaches the same
+/// Every reduced/compositional mode reaches the same
 /// verdict as the unreduced oracle on every shipped config, at the
 /// default bounds: verified configs stay verified, and the crafted
 /// `sync-replication-hazard.mdw` fails in every mode with a
@@ -65,19 +65,9 @@ fn every_mode_agrees_with_the_oracle_on_shipped_configs() {
     let modes = [ModelMode::Exact, ModelMode::Compositional, ModelMode::Auto];
     for (name, cfg) in shipped_configs() {
         let (arch, sync) = model_inputs(&cfg);
-        let oracle = check_model_opts(
-            arch,
-            sync,
-            cfg.switch.policy,
-            &bounds,
-            &ModelOptions::oracle(),
-        );
+        let oracle = check_model(arch, sync, cfg.switch.policy, &bounds);
         for mode in modes {
-            let opts = ModelOptions {
-                mode,
-                ..ModelOptions::default()
-            };
-            let out = check_model_opts(arch, sync, cfg.switch.policy, &bounds, &opts);
+            let out = check_model_opts(arch, sync, cfg.switch.policy, &bounds, mode);
             assert_eq!(
                 out.is_verified(),
                 oracle.is_verified(),
@@ -115,24 +105,14 @@ fn reduced_checker_verifies_where_the_oracle_exhausts_its_state_budget() {
         ..ModelBounds::default()
     };
 
-    let oracle = check_model_opts(
-        arch,
-        sync,
-        cfg.switch.policy,
-        &bounds,
-        &ModelOptions::oracle(),
-    );
+    let oracle = check_model(arch, sync, cfg.switch.policy, &bounds);
     let CheckOutcome::Violated(v) = &oracle else {
         panic!("the unreduced oracle must exhaust 50k states at 16 switches: {oracle:?}");
     };
     assert_eq!(v.kind, "state-bound", "{v}");
 
     for mode in [ModelMode::Exact, ModelMode::Auto] {
-        let opts = ModelOptions {
-            mode,
-            ..ModelOptions::default()
-        };
-        let out = check_model_opts(arch, sync, cfg.switch.policy, &bounds, &opts);
+        let out = check_model_opts(arch, sync, cfg.switch.policy, &bounds, mode);
         let CheckOutcome::Verified(stats) = &out else {
             panic!("reduced {mode:?} must verify the 16-switch tier: {out:?}");
         };

@@ -15,13 +15,71 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-macro_rules! ensure {
-    ($cond:expr, $($msg:tt)+) => {
-        if !$cond {
-            return Err(ConfigError(format!($($msg)+)));
-        }
-    };
-}
+/// One sizing rule: its diagnostic code and a check that formats the
+/// violation message, or `None` when the config obeys the rule (so a
+/// valid config formats nothing).
+type SizingRule = (&'static str, fn(&SwitchConfig) -> Option<String>);
+
+/// The deadlock-freedom sizing rules and sanity bounds, in check order.
+/// The capacity comparisons are meaningless (and `chunks_for` divides by
+/// the chunk size) when the chunk or queue size is 0, so they pass on
+/// such a config and leave the earlier sanity rules to report it.
+const SIZING_RULES: [SizingRule; 8] = [
+    ("ports-out-of-range", |c| {
+        (!(2..=16).contains(&c.ports)).then(|| format!("ports must be 2..=16, got {}", c.ports))
+    }),
+    ("chunk-holds-no-flit", |c| {
+        (c.chunk_flits < 1).then(|| "chunks must hold at least one flit".to_string())
+    }),
+    ("cq-empty", |c| {
+        (c.cq_chunks < 1).then(|| "central queue needs capacity".to_string())
+    }),
+    ("packet-below-header", |c| {
+        (c.max_packet_flits < 2).then(|| {
+            format!(
+                "packets have at least a header; max_packet_flits {} is too small",
+                c.max_packet_flits
+            )
+        })
+    }),
+    ("cb-packet-exceeds-cq", |c| {
+        (c.cq_sane() && u32::from(c.max_packet_flits) > c.cq_flits()).then(|| {
+            format!(
+                "max packet ({} flits) exceeds central queue ({} flits): \
+                 deadlock-freedom guarantee impossible",
+                c.max_packet_flits,
+                c.cq_flits()
+            )
+        })
+    }),
+    ("cb-no-descending-reserve", |c| {
+        (c.cq_sane() && c.cq_chunks < 2 * c.cq_down_reserve()).then(|| {
+            format!(
+                "central queue ({} chunks) must hold at least two max packets \
+                 ({} chunks each): one is reserved for descending traffic",
+                c.cq_chunks,
+                c.cq_down_reserve()
+            )
+        })
+    }),
+    ("ib-packet-exceeds-fifo", |c| {
+        (u32::from(c.max_packet_flits) > c.input_buf_flits).then(|| {
+            format!(
+                "max packet ({} flits) exceeds input buffer ({} flits): \
+                 deadlock-freedom guarantee impossible",
+                c.max_packet_flits, c.input_buf_flits
+            )
+        })
+    }),
+    ("staging-below-decode", |c| {
+        (c.staging_flits < 4).then(|| {
+            format!(
+                "staging of {} flits cannot cover decode latency (need >= 4)",
+                c.staging_flits
+            )
+        })
+    }),
+];
 
 /// How worm branches advance relative to each other (paper §3).
 ///
@@ -139,49 +197,29 @@ impl SwitchConfig {
         self.chunks_for(self.max_packet_flits)
     }
 
-    /// Checks the deadlock-freedom sizing rules (a packet must fit in the
-    /// central queue and in one input buffer) and basic sanity bounds,
-    /// returning a descriptive [`ConfigError`] on the first violation.
+    /// Chunks hold at least one flit and the queue at least one chunk, so
+    /// the capacity comparisons are defined.
+    fn cq_sane(&self) -> bool {
+        self.chunk_flits >= 1 && self.cq_chunks >= 1
+    }
+
+    /// Every violated sizing rule (a packet must fit in the central queue
+    /// and in one input buffer, plus basic sanity bounds) as
+    /// `(code, message)`, in check order. Lazy: a message is formatted
+    /// only for a violated rule.
+    pub fn violations(&self) -> impl Iterator<Item = (&'static str, String)> + '_ {
+        SIZING_RULES
+            .iter()
+            .filter_map(move |(code, rule)| rule(self).map(|msg| (*code, msg)))
+    }
+
+    /// Checks the sizing rules, returning a descriptive [`ConfigError`]
+    /// on the first violation.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        ensure!(
-            self.ports >= 2 && self.ports <= 16,
-            "ports must be 2..=16, got {}",
-            self.ports
-        );
-        ensure!(self.chunk_flits >= 1, "chunks must hold at least one flit");
-        ensure!(self.cq_chunks >= 1, "central queue needs capacity");
-        ensure!(
-            self.max_packet_flits >= 2,
-            "packets have at least a header; max_packet_flits {} is too small",
-            self.max_packet_flits
-        );
-        ensure!(
-            u32::from(self.max_packet_flits) <= self.cq_flits(),
-            "max packet ({} flits) exceeds central queue ({} flits): \
-             deadlock-freedom guarantee impossible",
-            self.max_packet_flits,
-            self.cq_flits()
-        );
-        ensure!(
-            self.cq_chunks >= 2 * self.cq_down_reserve(),
-            "central queue ({} chunks) must hold at least two max packets \
-             ({} chunks each): one is reserved for descending traffic",
-            self.cq_chunks,
-            self.cq_down_reserve()
-        );
-        ensure!(
-            u32::from(self.max_packet_flits) <= self.input_buf_flits,
-            "max packet ({} flits) exceeds input buffer ({} flits): \
-             deadlock-freedom guarantee impossible",
-            self.max_packet_flits,
-            self.input_buf_flits
-        );
-        ensure!(
-            self.staging_flits >= 4,
-            "staging of {} flits cannot cover decode latency (need >= 4)",
-            self.staging_flits
-        );
-        Ok(())
+        match self.violations().next() {
+            Some((_, msg)) => Err(ConfigError(msg)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -225,6 +263,28 @@ mod tests {
         };
         let err = c.validate().unwrap_err();
         assert!(err.to_string().contains("exceeds input buffer"), "{err}");
+    }
+
+    #[test]
+    fn violations_list_every_broken_rule_in_order() {
+        assert_eq!(SwitchConfig::default().violations().count(), 0);
+        // Zero chunk and queue sizes skip the capacity rules rather than
+        // divide by zero; the sanity rules report them.
+        let c = SwitchConfig {
+            chunk_flits: 0,
+            cq_chunks: 0,
+            staging_flits: 2,
+            ..SwitchConfig::default()
+        };
+        let codes: Vec<_> = c.violations().map(|(code, _)| code).collect();
+        assert_eq!(
+            codes,
+            ["chunk-holds-no-flit", "cq-empty", "staging-below-decode"]
+        );
+        assert_eq!(
+            c.validate().unwrap_err().to_string(),
+            "chunks must hold at least one flit"
+        );
     }
 
     #[test]

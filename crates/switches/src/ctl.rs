@@ -12,7 +12,7 @@
 //! switch in an engine is changed only inside
 //! [`netsim::engine::Engine::control`], which wakes the switch.
 //!
-//! Three commands exist:
+//! Two commands exist:
 //!
 //! * **purge** — while raised, the switch kills every resident worm
 //!   (returning one credit upstream per buffered flit, so link-level
@@ -30,10 +30,6 @@
 //!   coordinator that crashes between prepare and commit therefore
 //!   leaves the fabric on the old epoch everywhere — never on a mix —
 //!   and its journal replay can re-drive the commit (DESIGN.md §15).
-//! * **legacy one-shot install** — [`SwitchCtl::install_tables`] is
-//!   prepare + commit fused under an auto-allocated epoch, kept for
-//!   callers that do not coordinate across switches (single-switch
-//!   tests and tools).
 //!
 //! Swapping only-when-empty means no in-flight worm ever decodes against
 //! a mix of old and new tables; epoch stamps make the complementary
@@ -151,18 +147,6 @@ impl SwitchCtl {
             }
             _ => false,
         }
-    }
-
-    /// Legacy one-shot install: prepare + commit fused under the next
-    /// free epoch. Overwrites any earlier uncommitted stage.
-    pub fn install_tables(&self, tables: Rc<RouteTables>) {
-        let epoch = self
-            .committed
-            .get()
-            .max(self.staged.borrow().as_ref().map_or(0, |(e, _)| *e))
-            + 1;
-        self.prepare(epoch, tables);
-        self.commit(epoch);
     }
 
     /// `true` while an armed table swap has not been activated — the
@@ -314,17 +298,6 @@ mod tests {
         assert!(!ctl.tables_pending(), "superseded arm is cleared");
         assert!(ctl.commit(2));
         assert_eq!(ctl.take_committed().map(|(e, _)| e), Some(2));
-    }
-
-    #[test]
-    fn legacy_install_allocates_fresh_epochs() {
-        let ctl = SwitchCtl::new();
-        ctl.install_tables(tables());
-        assert!(ctl.tables_pending());
-        assert_eq!(ctl.take_committed().map(|(e, _)| e), Some(1));
-        ctl.install_tables(tables());
-        assert_eq!(ctl.take_committed().map(|(e, _)| e), Some(2));
-        assert_eq!(ctl.committed_epoch(), 2);
     }
 
     #[test]

@@ -738,7 +738,10 @@ mod tests {
             )],
             4,
         );
-        w.engine.control(0, || ctl.install_tables(Rc::new(swapped)));
+        w.engine.control(0, || {
+            ctl.prepare(1, Rc::new(swapped));
+            assert!(ctl.commit(1));
+        });
         w.engine.run_for(3);
         assert!(ctl.tables_pending(), "switch is busy; swap must wait");
         w.engine.run_for(400);
